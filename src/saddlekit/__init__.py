@@ -13,6 +13,7 @@ from .errors import (
     CoefficientError,
     DimensionError,
     EigensolveError,
+    ModelRegionError,
     OffManifoldError,
     OrderEstimateError,
     SubsolveError,

@@ -5,6 +5,10 @@ class DimensionError(ValueError):
     """Input vector length does not match the model dimension."""
 
 
+class ModelRegionError(ValueError):
+    """Point lies outside the region where the energy model is valid."""
+
+
 class CoefficientError(ValueError):
     """Reversal coefficients violate the convexity condition."""
 

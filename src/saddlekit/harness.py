@@ -36,6 +36,7 @@ __all__ = [
     "run_experiment",
     "doa_scan",
     "emit_table",
+    "near_saddle_runs",
     "bench",
     "run_invariant_checks",
     "BENCH_PRESETS",
@@ -164,29 +165,12 @@ def _starts(cfg: ExperimentConfig, p):
     raise ValueError(f"unrecognized start spec {sorted(spec)}")
 
 
-class _AsObjective:
-    """Adapter: expose a potential with the inner-solver interface."""
-
-    def __init__(self, p):
-        self.p = p
-
-    def value(self, y):
-        return self.p.energy(y)
-
-    def gradient(self, y):
-        return self.p.gradient(y)
-
-    def hessian_vec(self, y, u):
-        return self.p.hessian_vec(y, u)
-
-
 def _relaxed_minimum(p, tol=1e-11):
     if "coords" in p.extras:
         x0 = p.extras["coords"][~p.extras["frozen"]].ravel().copy()
     else:
         raise ValueError(f"{p.name} has no built-in geometry to relax")
-    sol = minimize(_AsObjective(p), x0, SubsolveConfig(grad_tol=tol, max_inner_iters=6000))
-    return sol.y
+    return minimize(p, x0, SubsolveConfig(grad_tol=tol, max_inner_iters=6000)).y
 
 
 def _rereference(record: ConvergenceRecord, ref):
@@ -473,23 +457,34 @@ def doa_scan(problem, method, region, n, budget=200, box=0.25, saddle_tol=1e-3,
 # benchmark presets
 
 
-def _bench_table1(out_dir, seed):
+def near_saddle_runs(seed, presets, grad_tol, subsolve_tol, max_inner, max_outer):
+    """Three-hole searches started 0.2 from the bottom and the left saddle.
+
+    One run per saddle and ``(alpha, beta)`` in ``presets``, each from a
+    seeded random angle, with a 0.25 trust box and errors measured to that
+    saddle.  Returns ``(label, record)`` pairs labelled ``(a,b)@(x,y)``.
+    """
     p = make_builtin("three_hole")
-    saddles = [p.stationary_points[0][0], p.stationary_points[1][0]]
     rng = np.random.default_rng(seed)
     records = []
-    for sp in saddles:
-        for name, (a, b) in COEFFICIENT_PRESETS.items():
+    for sp in (p.stationary_points[0][0], p.stationary_points[1][0]):
+        for a, b in presets:
             th = rng.uniform(0.0, 2.0 * math.pi)
             x0 = sp + 0.2 * np.array([math.cos(th), math.sin(th)])
             cfg = SearchConfig(
-                alpha=a, beta=b, grad_tol=5e-14, eig_tol=1e-12,
-                subsolve=SubsolveConfig(grad_tol=1e-14, max_inner_iters=500, box_radius=0.25),
-                max_outer_iters=6, reference=sp,
+                alpha=a, beta=b, grad_tol=grad_tol, eig_tol=1e-12,
+                subsolve=SubsolveConfig(grad_tol=subsolve_tol, max_inner_iters=max_inner,
+                                        box_radius=0.25),
+                max_outer_iters=max_outer, reference=sp,
             )
             rec = run_search(p, x0, cfg)
             records.append((f"({a:g},{b:g})@({sp[0]:.2f},{sp[1]:.2f})", rec))
-    return p, records
+    return records
+
+
+def _bench_table1(out_dir, seed):
+    return near_saddle_runs(seed, COEFFICIENT_PRESETS.values(), grad_tol=5e-14,
+                            subsolve_tol=1e-14, max_inner=500, max_outer=6)
 
 
 def _bench_table2(out_dir, seed):
@@ -509,26 +504,13 @@ def _bench_table2(out_dir, seed):
             rec = run_search(p, x0, cfg)
             _auto_reference(p, rec)
             records.append((f"({a:g},{b:g})#{draw}", rec))
-    return p, records
+    return records
 
 
 def _bench_table3(out_dir, seed):
-    p = make_builtin("three_hole")
-    saddles = [p.stationary_points[0][0], p.stationary_points[1][0]]
-    rng = np.random.default_rng(seed)
-    records = []
-    for sp in saddles:
-        for a, b in ((2.0, 0.0), (0.0, 2.0)):
-            th = rng.uniform(0.0, 2.0 * math.pi)
-            x0 = sp + 0.2 * np.array([math.cos(th), math.sin(th)])
-            cfg = SearchConfig(
-                alpha=a, beta=b, grad_tol=1e-11, eig_tol=1e-12,
-                subsolve=SubsolveConfig(grad_tol=1e-16, max_inner_iters=3, box_radius=0.25),
-                max_outer_iters=8, reference=sp,
-            )
-            rec = run_search(p, x0, cfg)
-            records.append((f"3cg({a:g},{b:g})@({sp[0]:.2f},{sp[1]:.2f})", rec))
-    return p, records
+    records = near_saddle_runs(seed, ((2.0, 0.0), (0.0, 2.0)), grad_tol=1e-11,
+                               subsolve_tol=1e-16, max_inner=3, max_outer=8)
+    return [("3cg" + label, rec) for label, rec in records]
 
 
 def _bench_table4(out_dir, seed):
@@ -553,7 +535,7 @@ def _bench_table4(out_dir, seed):
                   morse_full_coordinates(p, xmin), symbol="Pt", comment="relaxed island minimum")
         write_xyz(os.path.join(out_dir, "island_saddle.xyz"),
                   morse_full_coordinates(p, rec.x), symbol="Pt", comment="converged island saddle")
-    return p, records
+    return records
 
 
 def _bench_table5(out_dir, seed):
@@ -576,7 +558,7 @@ def _bench_table5(out_dir, seed):
         rec = run_search(p, x0, cfg)
         _auto_reference(p, rec, on_sphere=True)
         records.append((variant, rec))
-    return p, records
+    return records
 
 
 def bench(preset, out_dir, seed=None) -> dict:
@@ -605,7 +587,7 @@ def bench(preset, out_dir, seed=None) -> dict:
         raise ValueError(f"unknown preset {preset!r}; choose from {sorted(builders) + ['fig2']}")
     build, default_seed = builders[preset]
     seed = default_seed if seed is None else int(seed)
-    p, records = build(out_dir, seed)
+    records = build(out_dir, seed)
     emit_table(records, os.path.join(out_dir, f"{preset}_errors.md"), fmt="markdown")
     emit_table(records, os.path.join(out_dir, f"{preset}_errors.csv"), fmt="csv")
     emit_table(records, os.path.join(out_dir, f"{preset}_errors.json"), fmt="json")
@@ -648,12 +630,13 @@ def _slug(label):
 # invariant checks (the `check` subcommand)
 
 
-def _fd_gradient(p, x, h=1e-5):
+def _fd_gradient(f, x, h=1e-5):
+    """Central-difference gradient of the scalar function ``f`` at ``x``."""
     g = np.empty_like(x)
     for i in range(x.size):
         e = np.zeros_like(x)
         e[i] = h
-        g[i] = (p.energy(x + e) - p.energy(x - e)) / (2.0 * h)
+        g[i] = (f(x + e) - f(x - e)) / (2.0 * h)
     return g
 
 
@@ -690,7 +673,7 @@ def run_invariant_checks(include_cluster=True, verbose=False) -> list:
             base = np.zeros(p.dimension)
         x = base + amp * rng.standard_normal(p.dimension)
         g = p.gradient(x)
-        gfd = _fd_gradient(p, x)
+        gfd = _fd_gradient(p.energy, x)
         rel = np.linalg.norm(g - gfd) / max(1e-12, np.linalg.norm(gfd))
         check(f"{name}: gradient matches finite differences", rel < 1e-6, f"rel={rel:.2e}")
 
@@ -731,7 +714,7 @@ def run_invariant_checks(include_cluster=True, verbose=False) -> list:
         gn = np.linalg.norm(Ls.gradient(sp))
         check(f"three_hole: stationarity transfers to objective ({a:g},{b:g})",
               gn < 1e-9, f"|grad|={gn:.2e}")
-        gfd = _fd_gradient(_AsObjective2(Lp), y)
+        gfd = _fd_gradient(Lp.value, y)
         rel = np.linalg.norm(Lp.gradient(y) - gfd) / max(1e-12, np.linalg.norm(gfd))
         check(f"three_hole: objective ({a:g},{b:g}) gradient matches finite differences",
               rel < 1e-6, f"rel={rel:.2e}")
@@ -761,13 +744,3 @@ def run_invariant_checks(include_cluster=True, verbose=False) -> list:
               dth < 1e-5, f"dtheta={dth:.2e}")
 
     return results
-
-
-class _AsObjective2:
-    """Adapter exposing a modified objective as an energy for FD checks."""
-
-    def __init__(self, L):
-        self.L = L
-
-    def energy(self, y):
-        return self.L.value(y)

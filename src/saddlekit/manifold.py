@@ -8,7 +8,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import OffManifoldError, SubsolveError
-from .subsolve import InnerSolve, SubsolveConfig, _ARMIJO_C1, _MAX_HALVINGS
+from .subsolve import InnerSolve, SubsolveConfig, descend
 
 __all__ = [
     "ManifoldSpec",
@@ -148,6 +148,37 @@ def sphere_geodesic_project(x, v, y):
     return theta, x * math.cos(theta) + v * math.sin(theta)
 
 
+class ManifoldGeometry:
+    """Rules of the descent loop on ``M``.
+
+    Gradients and carried directions are projected onto the tangent space
+    at each accepted point (one projector per point), trial steps are
+    retracted onto ``M``, the Armijo slope is ``t g.d``, the stall test uses
+    the Euclidean norm, and conjugacy never restarts on a schedule.
+    """
+
+    norm_ord = None
+    restart_every = math.inf
+    clipped = False
+
+    def __init__(self, M: ManifoldSpec, y0):
+        M.check_feasible(y0)
+        self.M = M
+        self.no_descent_hint = f"constrained to {M.name}"
+
+    def projector(self, y):
+        return tangent_projector(self.M, y)
+
+    def precondition(self, g):
+        return g
+
+    def retract(self, y, step):
+        return self.M.retraction(y, step)
+
+    def armijo_slope(self, g, y, y_trial, t, gd):
+        return t * gd
+
+
 def solve_constrained_subproblem(L, M: ManifoldSpec, y0, cfg: SubsolveConfig) -> InnerSolve:
     """Minimize ``L`` over ``M`` by projected descent with retraction.
 
@@ -156,83 +187,8 @@ def solve_constrained_subproblem(L, M: ManifoldSpec, y0, cfg: SubsolveConfig) ->
     retracted onto the manifold before evaluation.  Convergence is measured
     on the tangent gradient norm.
     """
-    y = np.asarray(y0, dtype=float).copy()
-    M.check_feasible(y)
-
-    def tangent_grad(pt):
-        proj = tangent_projector(M, pt)
-        return proj(L.gradient(pt))
-
-    f = L.value(y)
-    g = tangent_grad(y)
-    gnorm = float(np.linalg.norm(g))
-    f_slack = 4.0 * np.finfo(float).eps * (1.0 + abs(f))
-    best_f, best_y, best_gnorm = f, y.copy(), gnorm
-    d = -g
-    t_prev = None
-    iters = 0
-    stalled = 0
-
-    while iters < cfg.max_inner_iters and gnorm > cfg.grad_tol:
-        gd = float(g @ d)
-        if gd >= 0.0:
-            d = -g
-            gd = float(g @ d)
-            if gd >= 0.0:
-                break
-        Hd = L.hessian_vec(y, d)
-        curv = float(d @ Hd)
-        if curv > 0.0:
-            t = -gd / curv
-        elif t_prev is not None:
-            t = t_prev
-        else:
-            t = cfg.step_size / max(np.linalg.norm(d), 1e-300)
-
-        accepted = False
-        slack = 4.0 * np.finfo(float).eps * (1.0 + abs(f))
-        for _ in range(_MAX_HALVINGS):
-            y_trial = M.retraction(y, t * d)
-            if np.array_equal(y_trial, y):
-                break
-            f_trial = L.value(y_trial)
-            if f_trial <= f + _ARMIJO_C1 * t * gd + slack:
-                accepted = True
-                break
-            t *= 0.5
-        if not accepted:
-            if iters == 0 and gnorm > cfg.grad_tol:
-                raise SubsolveError(
-                    f"no descent on {M.name} from the starting point "
-                    f"(tangent |grad| = {gnorm:.3e})",
-                    trace=[y0],
-                )
-            break
-
-        g_new = tangent_grad(y_trial)
-        if cfg.method == "ncg":
-            proj_new = tangent_projector(M, y_trial)
-            d_t = proj_new(d)
-            g_t = proj_new(g)
-            beta = max(0.0, float(g_new @ (g_new - g_t)) / max(float(g_t @ g_t), 1e-300))
-            d = -g_new + beta * d_t
-        else:
-            d = -g_new
-        step_norm = float(np.linalg.norm(y_trial - y))
-        y, f, g = y_trial, f_trial, g_new
-        gnorm = float(np.linalg.norm(g))
-        t_prev = t
-        iters += 1
-        if f < best_f - f_slack or (f <= best_f + f_slack and gnorm < best_gnorm):
-            best_f, best_y, best_gnorm = min(f, best_f), y.copy(), gnorm
-        if step_norm <= 1e-16 * (1.0 + float(np.linalg.norm(y))):
-            stalled += 1
-            if stalled >= 2:
-                break
-        else:
-            stalled = 0
-
-    return InnerSolve(best_y, iters, best_gnorm)
+    y0 = np.asarray(y0, dtype=float)
+    return descend(L, y0, cfg, ManifoldGeometry(M, y0))
 
 
 def constrained_index(p, M: ManifoldSpec, x) -> int:

@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DimensionError
+from .errors import DimensionError, ModelRegionError
 
 __all__ = [
     "PotentialModel",
@@ -59,6 +59,16 @@ class PotentialModel:
 
     def gradient(self, x) -> np.ndarray:
         return np.asarray(self.gradient_fn(self._check_point(x)), dtype=float)
+
+    def value(self, x) -> float:
+        """The energy, under the objective name the inner solvers call."""
+        return self.energy(x)
+
+    def precondition_diag(self, x):
+        """Hessian diagonal for the inner solver's Jacobi preconditioner (None if unknown)."""
+        if self.hessian_diag_fn is None:
+            return None
+        return self.hessian_diag_fn(self._check_point(x))
 
     def hessian_vec(self, x, u) -> np.ndarray:
         """Action of the Hessian at ``x`` on ``u`` (central FD fallback)."""
@@ -276,6 +286,20 @@ class MorseClusterSpec:
             raise ValueError("island_atoms supports 0..7 (compact heptamer)")
 
 
+def _morse_pair_terms(r, spec: MorseClusterSpec):
+    """Cut-and-shifted pair energy and its first two radial derivatives.
+
+    ``r`` holds separations inside the cutoff; see :func:`morse_pair_energy`.
+    """
+    A, aa = spec.A, spec.a
+    w = np.exp(-aa * (r - spec.r0))
+    wc = math.exp(-aa * (spec.rc - spec.r0))
+    phi = A * (w * w - 2.0 * w) - A * (wc * wc - 2.0 * wc)
+    dphi = 2.0 * aa * A * (w - w * w)
+    ddphi = 2.0 * aa * aa * A * (2.0 * w * w - w)
+    return phi, dphi, ddphi
+
+
 def morse_pair_energy(r, spec: MorseClusterSpec) -> float:
     """Cut-and-shifted Morse pair energy at separation ``r``.
 
@@ -286,9 +310,7 @@ def morse_pair_energy(r, spec: MorseClusterSpec) -> float:
     r = float(r)
     if r >= spec.rc:
         return 0.0
-    w = math.exp(-spec.a * (r - spec.r0))
-    wc = math.exp(-spec.a * (spec.rc - spec.r0))
-    return spec.A * (w * w - 2.0 * w) - spec.A * (wc * wc - 2.0 * wc)
+    return float(_morse_pair_terms(r, spec)[0])
 
 
 def _layer_grid(n: int):
@@ -353,9 +375,7 @@ def _morse_island(spec: MorseClusterSpec = None) -> PotentialModel:
     # frozen-frozen pairs never move: fold their energy into a constant
     static = frozen[iu] & frozen[ju]
     ia, ja = iu[~static], ju[~static]
-    A, aa, r0, rc = spec.A, spec.a, spec.r0, spec.rc
-    wc = math.exp(-aa * (rc - r0))
-    shift = A * (wc * wc - 2.0 * wc)
+    rc = spec.rc
 
     # interaction list pruned on the reference geometry: pairs farther than
     # rc + margin can only enter the cutoff if atoms move more than margin/2,
@@ -365,19 +385,9 @@ def _morse_island(spec: MorseClusterSpec = None) -> PotentialModel:
     keep = ref_d < rc + margin
     ia, ja = ia[keep], ja[keep]
 
-    def _pair_terms(r):
-        w = np.exp(-aa * (r - r0))
-        phi = A * (w * w - 2.0 * w) - shift
-        dphi = 2.0 * aa * A * (w - w * w)
-        ddphi = 2.0 * aa * aa * A * (2.0 * w * w - w)
-        return phi, dphi, ddphi
-
     if static.any():
-        dvec = base[iu[static]] - base[ju[static]]
-        r = np.linalg.norm(dvec, axis=1)
-        m = r < rc
-        w = np.exp(-aa * (r[m] - r0))
-        e_static = float(np.sum(A * (w * w - 2.0 * w) - shift))
+        r = np.linalg.norm(base[iu[static]] - base[ju[static]], axis=1)
+        e_static = float(np.sum(_morse_pair_terms(r[r < rc], spec)[0]))
     else:
         e_static = 0.0
 
@@ -387,7 +397,7 @@ def _morse_island(spec: MorseClusterSpec = None) -> PotentialModel:
         xa = x.reshape(-1, 3)
         disp = np.sqrt(np.max(np.sum((xa - base_free) ** 2, axis=1)))
         if disp > 0.5 * margin:
-            raise ValueError(
+            raise ModelRegionError(
                 f"atom moved {disp:.2f} A from the reference geometry, beyond "
                 f"the {0.5 * margin:.2f} A validity radius of the pruned "
                 "interaction list"
@@ -401,7 +411,7 @@ def _morse_island(spec: MorseClusterSpec = None) -> PotentialModel:
         dvec = full[ia] - full[ja]
         r = np.sqrt(np.einsum("ij,ij->i", dvec, dvec))
         m = r < rc
-        phi, _, _ = _pair_terms(r[m])
+        phi, _, _ = _morse_pair_terms(r[m], spec)
         return float(phi.sum()) + e_static
 
     def gradient(x):
@@ -410,7 +420,7 @@ def _morse_island(spec: MorseClusterSpec = None) -> PotentialModel:
         r = np.sqrt(np.einsum("ij,ij->i", dvec, dvec))
         m = r < rc
         i, j, rm = ia[m], ja[m], r[m]
-        _, dphi, _ = _pair_terms(rm)
+        _, dphi, _ = _morse_pair_terms(rm, spec)
         f = (dphi / rm)[:, None] * dvec[m]
         g = np.zeros((n_atoms, 3))
         for k in range(3):
@@ -426,7 +436,7 @@ def _morse_island(spec: MorseClusterSpec = None) -> PotentialModel:
         r = np.sqrt(np.einsum("ij,ij->i", dvec, dvec))
         m = r < rc
         i, j, rm = ia[m], ja[m], r[m]
-        _, dphi, ddphi = _pair_terms(rm)
+        _, dphi, ddphi = _morse_pair_terms(rm, spec)
         rhat = dvec[m] / rm[:, None]
         s = ufull[i] - ufull[j]
         radial = np.einsum("ij,ij->i", rhat, s)
@@ -444,7 +454,7 @@ def _morse_island(spec: MorseClusterSpec = None) -> PotentialModel:
         r = np.sqrt(np.einsum("ij,ij->i", dvec, dvec))
         m = r < rc
         i, j, rm = ia[m], ja[m], r[m]
-        _, dphi, ddphi = _pair_terms(rm)
+        _, dphi, ddphi = _morse_pair_terms(rm, spec)
         rhat = dvec[m] / rm[:, None]
         tang = dphi / rm
         dd = (ddphi - tang)[:, None] * rhat * rhat + tang[:, None]

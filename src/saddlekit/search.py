@@ -18,6 +18,7 @@ from .eigen import min_modes, stationary_index
 from .errors import (
     ConvexRegionError,
     EigensolveError,
+    ModelRegionError,
     OrderEstimateError,
     SubsolveError,
 )
@@ -291,7 +292,8 @@ def run(p, x0, cfg: SearchConfig) -> ConvergenceRecord:
     """Iterate ``step`` from ``x0`` until tolerance, budget, or failure.
 
     Never raises on solver failures: the record's ``status``/``message``
-    report them.  On convergence the terminal stationary point index is
+    report them.  A step out of the region where the energy model is valid
+    ends the run as ``left_region``.  On convergence the terminal stationary point index is
     verified with a dense eigensolve when the dimension allows.
     """
     ref = None if cfg.reference is None else np.asarray(cfg.reference, float)
@@ -306,8 +308,8 @@ def run(p, x0, cfg: SearchConfig) -> ConvergenceRecord:
         while state.outer_iter < cfg.max_outer_iters:
             try:
                 state = step(p, state, cfg)
-            except (EigensolveError, SubsolveError, ConvexRegionError) as exc:
-                record.status = "failed"
+            except (EigensolveError, SubsolveError, ConvexRegionError, ModelRegionError) as exc:
+                record.status = "left_region" if isinstance(exc, ModelRegionError) else "failed"
                 record.message = str(exc)
                 break
             lam1 = float(state.eigenvalues[0])

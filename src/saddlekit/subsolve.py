@@ -1,10 +1,13 @@
 """Inner minimizers for the per-iteration objective, plus a Newton baseline.
 
-``minimize`` drives steepest descent or Polak-Ribiere+ nonlinear CG with a
-curvature-informed line search safeguarded by Armijo backtracking.  An
-optional infinity-norm trust box around the starting point keeps the solve
-stable when the objective is unbounded below (anchor in a convex region of
-the energy); accepted points are clipped into the box coordinate-wise.
+``descend`` is the one descent loop: steepest descent or Polak-Ribiere+
+nonlinear CG with a curvature-informed line search safeguarded by Armijo
+backtracking.  A geometry object holds the rules that differ between flat
+space and a constraint manifold (:class:`saddlekit.manifold.ManifoldGeometry`).
+``minimize`` runs the loop under :class:`FlatGeometry`, whose optional
+infinity-norm trust box around the starting point keeps the solve stable
+when the objective is unbounded below (anchor in a convex region of the
+energy); accepted points are clipped into the box coordinate-wise.
 """
 
 from dataclasses import dataclass
@@ -80,10 +83,43 @@ def sd_single_step(L, y0, dt) -> np.ndarray:
     return y0 - dt * L.gradient(y0)
 
 
-def _clip_to_box(y, lo, hi):
-    if lo is None:
-        return y
-    return np.minimum(np.maximum(y, lo), hi)
+class FlatGeometry:
+    """Flat-space rules of the descent loop, with an optional trust box.
+
+    Directions are Jacobi-preconditioned when ``L`` offers a curvature
+    hint; conjugacy restarts every ``ncg_restart`` steps and after a step
+    the box clipped; the Armijo slope is taken along the realized (clipped)
+    step and the stall test on the largest coordinate move.
+    """
+
+    norm_ord = np.inf
+    no_descent_hint = "the subproblem may be unbounded -- consider a trust box"
+
+    def __init__(self, L, y0, cfg: SubsolveConfig):
+        self.lo = self.hi = None
+        if cfg.box_radius is not None:
+            self.lo, self.hi = y0 - cfg.box_radius, y0 + cfg.box_radius
+        self.restart_every = cfg.ncg_restart if cfg.ncg_restart > 0 else max(4, y0.size)
+        self.scale_inv = _preconditioner(L, y0)
+        self.clipped = False
+
+    @staticmethod
+    def projector(y):
+        return lambda u: u
+
+    def precondition(self, g):
+        return g if self.scale_inv is None else self.scale_inv * g
+
+    def retract(self, y, step):
+        y_trial = y + step
+        if self.lo is None:
+            return y_trial
+        clipped = np.minimum(np.maximum(y_trial, self.lo), self.hi)
+        self.clipped = not np.array_equal(clipped, y_trial)
+        return clipped
+
+    def armijo_slope(self, g, y, y_trial, t, gd):
+        return float(g @ (y_trial - y))
 
 
 def _preconditioner(L, y0):
@@ -102,31 +138,29 @@ def _preconditioner(L, y0):
     return 1.0 / np.maximum(diag, floor)
 
 
-def minimize(L, y0, cfg: SubsolveConfig) -> InnerSolve:
-    """Approximately minimize ``L`` from ``y0``.
+def descend(L, y0, cfg: SubsolveConfig, geometry) -> InnerSolve:
+    """Steepest descent or Polak-Ribiere+ NCG on ``L`` under ``geometry``'s rules.
 
+    The geometry (:class:`FlatGeometry` or ``manifold.ManifoldGeometry``)
+    supplies the projector that makes gradients and carried directions
+    admissible at a point, the preconditioner, the map from a trial step to
+    a point, the Armijo slope, the restart period and the stall-test norm.
     The returned point is the best visited: never worse than ``y0`` beyond
     roundoff in the objective value (sufficient-decrease tests carry an
     eps-level slack so the solve can keep polishing the gradient once value
     differences fall below float resolution).  Raises
     :class:`SubsolveError` if no descent is possible from ``y0`` while the
-    gradient is still above tolerance (an unbounded or ill-posed subproblem
-    with no trust box typically lands here).
+    gradient is still above tolerance.
     """
     y = np.asarray(y0, dtype=float).copy()
-    lo = hi = None
-    if cfg.box_radius is not None:
-        lo, hi = y - cfg.box_radius, y + cfg.box_radius
-    restart_every = cfg.ncg_restart if cfg.ncg_restart > 0 else max(4, y.size)
-    scale_inv = _preconditioner(L, y)
-
     f = L.value(y)
-    g = L.gradient(y)
+    P = geometry.projector(y)
+    g = P(L.gradient(y))
     gnorm = float(np.linalg.norm(g))
     # best-visited tracking: value decides, gradient norm breaks roundoff ties
     f_slack = 4.0 * np.finfo(float).eps * (1.0 + abs(f))
     best_f, best_y, best_gnorm = f, y.copy(), gnorm
-    z = g if scale_inv is None else scale_inv * g
+    z = geometry.precondition(g)
     d = -z
     t_prev = None
     iters = 0
@@ -154,40 +188,41 @@ def minimize(L, y0, cfg: SubsolveConfig) -> InnerSolve:
             t = cfg.step_size / max(np.linalg.norm(d), 1e-300)
 
         accepted = False
-        clipped = False
         # allow roundoff-level non-decrease: sufficient-decrease tests are
         # meaningless once |g.step| drops below the float resolution of f
         slack = 4.0 * np.finfo(float).eps * (1.0 + abs(f))
         for _ in range(_MAX_HALVINGS):
-            y_trial = _clip_to_box(y + t * d, lo, hi)
-            step = y_trial - y
-            if not np.any(step):
+            y_trial = geometry.retract(y, t * d)
+            if np.array_equal(y_trial, y):
                 break
             f_trial = L.value(y_trial)
-            if f_trial <= f + _ARMIJO_C1 * float(g @ step) + slack:
+            if f_trial <= f + _ARMIJO_C1 * geometry.armijo_slope(g, y, y_trial, t, gd) + slack:
                 accepted = True
-                clipped = lo is not None and not np.array_equal(y_trial, y + t * d)
                 break
             t *= 0.5
         if not accepted:
             if iters == 0 and gnorm > cfg.grad_tol:
                 raise SubsolveError(
                     f"no descent from the starting point (|grad| = {gnorm:.3e}); "
-                    "the subproblem may be unbounded -- consider a trust box",
+                    + geometry.no_descent_hint,
                     trace=[y0],
                 )
             break
 
-        g_new = L.gradient(y_trial)
-        z_new = g_new if scale_inv is None else scale_inv * g_new
-        if cfg.method == "ncg" and not clipped and since_restart < restart_every:
-            beta = max(0.0, float(z_new @ (g_new - g)) / max(float(z @ g), 1e-300))
-            d = -z_new + beta * d
+        P = geometry.projector(y_trial)
+        g_new = P(L.gradient(y_trial))
+        z_new = geometry.precondition(g_new)
+        if (cfg.method == "ncg" and not geometry.clipped
+                and since_restart < geometry.restart_every):
+            g_old = P(g)
+            z_old = geometry.precondition(g_old)
+            beta = max(0.0, float(z_new @ (g_new - g_old)) / max(float(z_old @ g_old), 1e-300))
+            d = -z_new + beta * P(d)
             since_restart += 1
         else:
             d = -z_new
             since_restart = 0
-        step_inf = float(np.linalg.norm(y_trial - y, ord=np.inf))
+        step = float(np.linalg.norm(y_trial - y, ord=geometry.norm_ord))
         y, f, g, z = y_trial, f_trial, g_new, z_new
         gnorm = float(np.linalg.norm(g))
         t_prev = t
@@ -195,7 +230,7 @@ def minimize(L, y0, cfg: SubsolveConfig) -> InnerSolve:
         if f < best_f - f_slack or (f <= best_f + f_slack and gnorm < best_gnorm):
             best_f, best_y, best_gnorm = min(f, best_f), y.copy(), gnorm
         # machine-precision floor: stop once steps stop moving the iterate
-        if step_inf <= 1e-16 * (1.0 + float(np.linalg.norm(y, ord=np.inf))):
+        if step <= 1e-16 * (1.0 + float(np.linalg.norm(y, ord=geometry.norm_ord))):
             stalled += 1
             if stalled >= 2:
                 break
@@ -203,6 +238,17 @@ def minimize(L, y0, cfg: SubsolveConfig) -> InnerSolve:
             stalled = 0
 
     return InnerSolve(best_y, iters, best_gnorm)
+
+
+def minimize(L, y0, cfg: SubsolveConfig) -> InnerSolve:
+    """Approximately minimize ``L`` from ``y0`` under :class:`FlatGeometry`.
+
+    ``L`` has ``value``, ``gradient`` and ``hessian_vec``, and optionally
+    ``precondition_diag``; a :class:`~saddlekit.potentials.PotentialModel`
+    qualifies.  See :func:`descend` for the result and the errors.
+    """
+    y0 = np.asarray(y0, dtype=float)
+    return descend(L, y0, cfg, FlatGeometry(L, y0, cfg))
 
 
 def newton_stationary(p, x0, tol=1e-10, max_iters=200, step_limit=10.0) -> NewtonResult:

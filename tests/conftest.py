@@ -29,34 +29,19 @@ def morse_minimum(morse):
     """Relaxed island minimum (one NCG minimization, reused by slow tests)."""
     from saddlekit.subsolve import SubsolveConfig, minimize
 
-    class AsObjective:
-        def __init__(self, p):
-            self.p = p
-
-        def value(self, y):
-            return self.p.energy(y)
-
-        def gradient(self, y):
-            return self.p.gradient(y)
-
-        def hessian_vec(self, y, u):
-            return self.p.hessian_vec(y, u)
-
-        def precondition_diag(self, y):
-            return self.p.hessian_diag_fn(y)
-
     x0 = morse.extras["coords"][~morse.extras["frozen"]].ravel().copy()
-    sol = minimize(AsObjective(morse), x0, SubsolveConfig(grad_tol=1e-11, max_inner_iters=6000))
+    sol = minimize(morse, x0, SubsolveConfig(grad_tol=1e-11, max_inner_iters=6000))
     assert sol.grad_norm < 1e-10
     return sol.y
 
 
-def fd_gradient(p, x, h=1e-5):
+def fd_gradient(f, x, h=1e-5):
+    """Central-difference gradient of the scalar function ``f`` at ``x``."""
     g = np.empty_like(x)
     for i in range(x.size):
         e = np.zeros_like(x)
         e[i] = h
-        g[i] = (p.energy(x + e) - p.energy(x - e)) / (2.0 * h)
+        g[i] = (f(x + e) - f(x - e)) / (2.0 * h)
     return g
 
 

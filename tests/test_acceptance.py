@@ -14,7 +14,7 @@ import pytest
 
 import saddlekit as sk
 from saddlekit import gad
-from saddlekit.harness import doa_scan, run_invariant_checks
+from saddlekit.harness import doa_scan, near_saddle_runs, run_invariant_checks
 from saddlekit.manifold import sphere
 from saddlekit.objective import COEFFICIENT_PRESETS
 from saddlekit.search import estimate_order, estimate_order_pooled
@@ -34,7 +34,7 @@ def _exact_subsolve(box=None, tol=1e-14, iters=500):
 
 THREE_HOLE = sk.make_builtin("three_hole")
 SADDLES = [q for q, idx in THREE_HOLE.stationary_points if idx == 1]
-SP_BOTTOM, SP_LEFT, SP_RIGHT = SADDLES[0], SADDLES[1], SADDLES[2]
+SP_BOTTOM = SADDLES[0]
 
 
 def test_criterion_01_quadratic_one_shot():
@@ -74,25 +74,10 @@ def test_criterion_02_three_hole_saddle_coordinates():
             f"worst distance to quoted coordinates {worst:.2e}, {elapsed:.2f}s")
 
 
-def _near_saddle_runs(seed, subsolve_tol, max_inner, presets, max_outer):
-    rng = np.random.default_rng(seed)
-    records = []
-    for sp in (SP_BOTTOM, SP_LEFT):
-        for a, b in presets:
-            th = rng.uniform(0.0, 2.0 * math.pi)
-            x0 = sp + 0.2 * np.array([math.cos(th), math.sin(th)])
-            cfg = sk.SearchConfig(
-                alpha=a, beta=b, grad_tol=5e-14, eig_tol=1e-12,
-                subsolve=_exact_subsolve(box=0.25, tol=subsolve_tol, iters=max_inner),
-                max_outer_iters=max_outer, reference=sp)
-            records.append(sk.run(THREE_HOLE, x0, cfg))
-    return records
-
-
 def test_criterion_03_quadratic_rate_protocol():
     presets = list(COEFFICIENT_PRESETS.values())
-    records = _near_saddle_runs(seed=0, subsolve_tol=1e-14, max_inner=500,
-                                presets=presets, max_outer=6)
+    records = [rec for _, rec in near_saddle_runs(
+        seed=0, presets=presets, grad_tol=5e-14, subsolve_tol=1e-14, max_inner=500, max_outer=6)]
     worst_iter = 0
     for rec in records:
         errs = rec.errors(include_start=False)
@@ -128,8 +113,9 @@ def test_criterion_04_escape_from_minimum():
 
 
 def test_criterion_05_inexact_three_step_solver():
-    records = _near_saddle_runs(seed=0, subsolve_tol=1e-16, max_inner=3,
-                                presets=[(2.0, 0.0), (0.0, 2.0)], max_outer=8)
+    records = [rec for _, rec in near_saddle_runs(
+        seed=0, presets=[(2.0, 0.0), (0.0, 2.0)], grad_tol=5e-14, subsolve_tol=1e-16,
+        max_inner=3, max_outer=8)]
     worst_iter = 0
     for rec in records:
         errs = rec.errors(include_start=False)

@@ -8,16 +8,6 @@ from saddlekit.objective import COEFFICIENT_PRESETS, sphere_frame
 from conftest import fd_gradient
 
 
-class _Energy:
-    """Adapter for finite-difference checks on an objective's value."""
-
-    def __init__(self, L):
-        self.L = L
-
-    def energy(self, y):
-        return self.L.value(y)
-
-
 def _dense_hessian_of(L, y):
     d = y.size
     H = np.column_stack([L.hessian_vec(y, e) for e in np.eye(d)])
@@ -115,7 +105,7 @@ def test_gradient_matches_fd(three_hole):
         L = sk.build_flat(three_hole, x, v, a, b)
         for _ in range(3):
             y = x + 0.3 * rng.standard_normal(2)
-            gfd = fd_gradient(_Energy(L), y)
+            gfd = fd_gradient(L.value, y)
             g = L.gradient(y)
             assert np.linalg.norm(g - gfd) <= 1e-6 * max(1.0, np.linalg.norm(gfd))
 
@@ -246,7 +236,7 @@ def test_index_m_gradient_fd():
     L = sk.build_index_m(q, x, modes.eigenvectors,
                          subset_alpha={(0,): 0.5}, subset_beta={(1,): 0.4, (0, 1): 1.0})
     y = x + 0.1 * rng.standard_normal(3)
-    gfd = fd_gradient(_Energy(L), y)
+    gfd = fd_gradient(L.value, y)
     assert np.linalg.norm(L.gradient(y) - gfd) <= 1e-6 * max(1.0, np.linalg.norm(gfd))
     u = rng.standard_normal(3)
     h, un = 1e-6, np.linalg.norm(rng.standard_normal(3))

@@ -99,7 +99,7 @@ def test_gradient_matches_finite_differences(name, params, amp):
     for _ in range(3):
         x = amp * rng.standard_normal(p.dimension)
         g = p.gradient(x)
-        gfd = fd_gradient(p, x)
+        gfd = fd_gradient(p.energy, x)
         assert np.linalg.norm(g - gfd) <= 1e-6 * max(1.0, np.linalg.norm(gfd))
 
 
@@ -243,6 +243,14 @@ def test_morse_hessian_diag_matches_hessian_vec(morse):
         e = np.zeros_like(x)
         e[i] = 1.0
         assert np.isclose(diag[i], morse.hessian_vec(x, e)[i], rtol=1e-10)
+
+
+def test_potential_is_an_inner_solver_objective(three_hole, morse):
+    x = np.array([0.3, -0.2])
+    assert three_hole.value(x) == three_hole.energy(x)
+    assert three_hole.precondition_diag(x) is None
+    xm = morse.extras["coords"][~morse.extras["frozen"]].ravel()
+    np.testing.assert_array_equal(morse.precondition_diag(xm), morse.hessian_diag_fn(xm))
 
 
 def test_morse_displacement_guard(morse):

@@ -83,6 +83,19 @@ def test_left_region_status(three_hole):
     assert rec.status == "left_region"
 
 
+def test_leaving_the_model_region_ends_run_as_left_region(morse):
+    # a 4 A trust box lets the first inner solve move an atom past the
+    # Morse island's 3 A validity radius
+    x0 = morse.extras["coords"][~morse.extras["frozen"]].ravel().copy()
+    cfg = sk.SearchConfig(alpha=0.0, beta=2.0, grad_tol=1e-8, eig_tol=1e-6,
+                          subsolve=SubsolveConfig(grad_tol=1e-8, max_inner_iters=50,
+                                                  box_radius=4.0),
+                          max_outer_iters=3, verify_index=False)
+    rec = sk.run(morse, x0, cfg)
+    assert rec.status == "left_region"
+    assert "validity radius" in rec.message
+
+
 def test_divergence_status():
     # an inverted well has no saddle to find: iterates blow up
     def energy(x):

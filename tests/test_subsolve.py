@@ -61,6 +61,14 @@ def test_sd_method_descends(three_hole):
     assert sol.grad_norm <= 1e-8
 
 
+def test_minimize_relaxes_a_potential_directly(three_hole):
+    well = next(q for q, idx in three_hole.stationary_points if idx == 0 and q[0] < 0)
+    sol = minimize(three_hole, np.array([-0.8, 0.2]),
+                   SubsolveConfig(grad_tol=1e-12, max_inner_iters=200))
+    assert sol.grad_norm <= 1e-12
+    assert np.linalg.norm(sol.y - well) < 1e-10
+
+
 def test_sd_single_step_formula(three_hole):
     rng = np.random.default_rng(1)
     x = rng.standard_normal(2) * 0.3
