@@ -156,7 +156,7 @@ def min_modes(p, x, m=1, v0=None, tol=1e-10, projector=None, max_iters=1000,
         R = HX - X * theta
         resn = np.linalg.norm(R[:, :m], axis=0)
         scale = max(scale, float(np.abs(theta).max()))
-        if b > m:
+        if theta.size > m:  # a refresh below may have dropped a column
             gap_est = float(theta[m] - theta[m - 1])
         if best is None or float(resn.max()) < float(best[2].max()):
             best = (theta[:m].copy(), X[:, :m].copy(), resn.copy(), it)

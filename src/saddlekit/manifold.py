@@ -17,6 +17,7 @@ __all__ = [
     "tangent_project",
     "tangent_projector",
     "sphere_geodesic_project",
+    "great_circle_angle",
     "solve_constrained_subproblem",
     "constrained_index",
 ]
@@ -134,18 +135,29 @@ def sphere_geodesic_project(x, v, y):
             raise OffManifoldError(f"{name} must be a unit vector")
     if abs(x @ v) > 1e-10:
         raise ValueError("v must be tangent at x")
-    a = float(x @ y)
-    b = float(v @ y)
+    theta, a, b = great_circle_angle(x, v, y)
     if a == 0.0 and b == 0.0:
         warnings.warn(
             "geodesic projection is degenerate (y orthogonal to the circle); "
             "resolving to theta = pi/2",
             RuntimeWarning,
         )
-        theta = 0.5 * math.pi
-    else:
-        theta = math.atan2(b, a)
     return theta, x * math.cos(theta) + v * math.sin(theta)
+
+
+def great_circle_angle(x, t, y):
+    """Angle of the point of the circle ``x cos(theta) + t sin(theta)`` nearest ``y``.
+
+    Returns ``(theta, x.y, t.y)`` for orthonormal ``x``, ``t`` (unchecked).
+    Of the two arctan branches the one with the smaller geodesic distance is
+    the one atan2 returns; the antipodal tie (``y`` orthogonal to the circle
+    plane) resolves to theta = pi/2.
+    """
+    a = float(x @ y)
+    b = float(t @ y)
+    if a == 0.0 and b == 0.0:
+        return 0.5 * math.pi, a, b
+    return math.atan2(b, a), a, b
 
 
 class ManifoldGeometry:

@@ -1,28 +1,50 @@
-"""Per-iteration modified objectives whose minimizers step toward saddles.
+"""Per-iteration reversed objectives whose minimizers step toward saddles.
 
 Given an anchor point x and the smallest-eigenvalue direction(s) of the
-Hessian there, the energy is locally recombined so that the saddle of the
-original surface becomes a strict local *minimum*: the component of V along
-the unstable direction(s) enters with reversed sign while all other
-directions are untouched.  Three constructions are provided:
+Hessian there, the energy is recombined so that its part along the unstable
+direction(s) enters with reversed sign:
 
-* flat index-1 (``build_flat``): reversal along a single unit vector v,
-  controlled by coefficients (alpha, beta) with alpha + beta > 1;
-* index-m (``build_index_m``): reversal over subsets of m orthonormal
-  directions with subset-indexed coefficients;
-* sphere (``build_manifold``): the index-1 construction on the unit sphere,
-  with projections taken along great circles instead of straight lines.
+    L(y) = (1 - sum_s alpha_s) V(y) + sum_s alpha_s V(pi_perp_s(y))
+                                    - sum_s beta_s V(pi_par_s(y))
+
+over subsets s of the modes, where pi_perp_s moves y onto the complement of
+the modes in s through x and pi_par_s onto their span through x.  With a
+total reversal weight above 1 a nearby saddle of V is a strict local
+minimum of L.  An objective holds the weight of V(y) and a tuple of
+reversal terms, each a weight w_k, a point map pi_k and the action of its
+Jacobian transpose, and evaluates the one formula
+
+    L(y)      = w_0 V(y) + sum_k w_k V(pi_k(y))
+    grad L(y) = w_0 grad V(y) + sum_k w_k Dpi_k(y)^T grad V(pi_k(y)).
+
+The builders differ only in their maps:
+
+* ``build_flat``: one unit mode v, straight-line projections, weights alpha
+  and beta (index-m with one mode and one subset);
+* ``build_index_m``: m orthonormal modes, straight-line projections off and
+  onto the span of each weighted subset;
+* ``build_manifold``: on the unit sphere, great-circle projections onto the
+  circle along the mode (beta) and along its complement (alpha);
+* ``build_sphere_naive``: on the unit sphere, the straight-line mode
+  projection retracted back onto the sphere (alpha = 0).
+
+Straight-line projections are linear, so the flat objectives have the exact
+Hessian-vector product ``w_0 H(y) u + sum_k w_k P_k H(pi_k y) P_k u``; the
+sphere objectives take a central difference of their gradient.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from typing import Callable, NamedTuple
 
 import numpy as np
 
 from .errors import CoefficientError, DimensionError, OffManifoldError
+from .manifold import great_circle_angle
 
 __all__ = [
     "ModifiedObjective",
+    "ReversalTerm",
     "GeodesicFrame",
     "build_flat",
     "build_index_m",
@@ -82,46 +104,94 @@ def _as_unit(v, what="direction"):
     return v / n
 
 
-def _geodesic_theta(x, t, y):
-    """Great-circle parameter minimizing geodesic distance from y.
+class ReversalTerm(NamedTuple):
+    """The term ``weight * V(point(y))``.
 
-    Of the two arctan branches the one maximizing <x cos t + v sin t, y> is
-    kept, which atan2 returns directly.  The antipodal tie resolves to pi/2.
+    ``pullback(y, g, w)`` is ``w Dpoint(y)^T g``.  The map applies the
+    weight where the closed-form index-1 gradient does, to a scalar before
+    it scales a direction (``(beta v.g) v``, not ``beta ((v.g) v)``), so
+    both give the same floating-point result.
     """
-    a = float(x @ y)
-    b = float(t @ y)
-    if a == 0.0 and b == 0.0:
-        return 0.5 * math.pi, a, b
-    return math.atan2(b, a), a, b
+
+    weight: float
+    point: Callable
+    pullback: Callable
+
+
+def _subspace_terms(x, V, alpha, beta):
+    """Straight-line terms of one mode subset, orthonormal columns ``V``.
+
+    The maps are y - P(y - x) and x + P(y - x) with P = V V^T; their
+    Jacobians I - P and P are symmetric, so the pullbacks are also the
+    Jacobian actions.  Zero weights give no term.  The products use
+    ``ndarray.dot``, which on operands this small costs half of ``@``.
+    """
+    Vdot, VTdot = V.dot, V.T.dot
+
+    def reject(y, g, w):
+        return w * (g - Vdot(VTdot(g)))
+
+    def project(y, g, w):
+        return Vdot(w * VTdot(g))
+
+    terms = []
+    if alpha != 0.0:
+        terms.append(ReversalTerm(alpha, lambda y: y - Vdot(VTdot(y - x)), reject))
+    if beta != 0.0:
+        terms.append(ReversalTerm(-beta, lambda y: x + Vdot(VTdot(y - x)), project))
+    return terms
+
+
+def _great_circle_term(weight, x, t):
+    """Term at the point nearest y on the great circle x cos(th) + t sin(th)."""
+
+    def point(y):
+        theta = great_circle_angle(x, t, y)[0]
+        return x * math.cos(theta) + t * math.sin(theta)
+
+    def pullback(y, g, w):
+        # d/dy V(xi(theta(y))) = <grad V, xi'(theta)> dtheta/dy
+        theta, a, b = great_circle_angle(x, t, y)
+        dxi = -x * math.sin(theta) + t * math.cos(theta)
+        return w * float(g @ dxi) * ((a * t - b * x) / (a * a + b * b))
+
+    return ReversalTerm(weight, point, pullback)
+
+
+def _retracted_line_term(weight, x, v):
+    """Term at the straight-line mode projection of y retracted onto S^2."""
+
+    def lift(y):
+        z = x + float(v @ (y - x)) * v
+        n = float(np.linalg.norm(z))
+        return z / n, n
+
+    def pullback(y, g, w):
+        # D(z/|z|)^T g = (g - (xi.g) xi) / |z| and dz/dy = v v^T
+        xi, n = lift(y)
+        return (w / n) * float(v @ (g - (xi @ g) * xi)) * v
+
+    return ReversalTerm(weight, lambda y: lift(y)[0], pullback)
 
 
 @dataclass(frozen=True, eq=False)
 class ModifiedObjective:
-    """Locally reversed energy L(y) anchored at a point and mode direction(s).
+    """Reversed energy L(y) = w_0 V(y) + sum_k w_k V(pi_k(y)) anchored at a point.
 
-    Instances are immutable; evaluation is pure.  ``variant`` is one of
-    ``"flat"``, ``"index"``, ``"sphere"`` or ``"sphere_naive"``.
-    ``coefficient_sum`` is the total reversal weight, which must exceed 1
-    for the anchor construction to be convex near a saddle.
+    Instances are immutable; evaluation is pure.  ``base_weight`` is w_0 and
+    ``terms`` the reversal terms.  ``coefficient_sum`` is the total reversal
+    weight, which must exceed 1 for the anchor construction to be convex
+    near a saddle.  ``on_sphere`` objectives accept only points of the unit
+    sphere; their maps are nonlinear, so ``hessian_vec`` differentiates the
+    gradient numerically there.
     """
 
     potential: object
     anchor: np.ndarray
-    directions: np.ndarray  # (d, m) orthonormal columns
-    variant: str
-    alpha: float = 0.0
-    beta: float = 0.0
-    subset_alpha: dict = field(default_factory=dict)
-    subset_beta: dict = field(default_factory=dict)
-    frame: GeodesicFrame = None
-
-    @property
-    def coefficient_sum(self) -> float:
-        if self.variant == "index":
-            return float(
-                sum(self.subset_alpha.values()) + sum(self.subset_beta.values())
-            )
-        return self.alpha + self.beta
+    base_weight: float
+    terms: tuple
+    coefficient_sum: float
+    on_sphere: bool = False
 
     def _check(self, y):
         y = np.asarray(y, dtype=float)
@@ -129,216 +199,52 @@ class ModifiedObjective:
             raise DimensionError(
                 f"objective expects points of shape {self.anchor.shape}, got {y.shape}"
             )
-        if self.variant in ("sphere", "sphere_naive") and abs(np.linalg.norm(y) - 1.0) > 1e-8:
+        if self.on_sphere and abs(np.linalg.norm(y) - 1.0) > 1e-8:
             raise OffManifoldError(f"point is off the unit sphere: |y| = {np.linalg.norm(y)!r}")
         return y
 
-    # -- flat index-1 ---------------------------------------------------
-
-    def _flat_value(self, y):
-        p, x, v = self.potential, self.anchor, self.directions[:, 0]
-        c = v @ (y - x)
-        out = 0.0
-        if self.alpha != 1.0:
-            out += (1.0 - self.alpha) * p.energy(y)
-        if self.alpha != 0.0:
-            out += self.alpha * p.energy(y - c * v)
-        if self.beta != 0.0:
-            out -= self.beta * p.energy(x + c * v)
-        return out
-
-    def _flat_gradient(self, y):
-        p, x, v = self.potential, self.anchor, self.directions[:, 0]
-        c = v @ (y - x)
-        g = np.zeros_like(y)
-        if self.alpha != 1.0:
-            g += (1.0 - self.alpha) * p.gradient(y)
-        if self.alpha != 0.0:
-            gh = p.gradient(y - c * v)
-            g += self.alpha * (gh - (v @ gh) * v)
-        if self.beta != 0.0:
-            gr = p.gradient(x + c * v)
-            g -= self.beta * (v @ gr) * v
-        return g
-
-    def _flat_hessian_vec(self, y, u):
-        p, x, v = self.potential, self.anchor, self.directions[:, 0]
-        c = v @ (y - x)
-        out = np.zeros_like(u)
-        if self.alpha != 1.0:
-            out += (1.0 - self.alpha) * p.hessian_vec(y, u)
-        if self.alpha != 0.0:
-            up = u - (v @ u) * v
-            hv = p.hessian_vec(y - c * v, up)
-            out += self.alpha * (hv - (v @ hv) * v)
-        if self.beta != 0.0:
-            hr = p.hessian_vec(x + c * v, (v @ u) * v)
-            out -= self.beta * (v @ hr) * v
-        return out
-
-    # -- index-m --------------------------------------------------------
-
-    def _index_terms(self, y):
-        x, V = self.anchor, self.directions
-        dy = y - x
-        coeff = V.T @ dy
-        for s in set(self.subset_alpha) | set(self.subset_beta):
-            cols = list(s)
-            proj = V[:, cols] @ coeff[cols]
-            yield s, x + (dy - proj), x + proj
-
-    def _index_value(self, y):
-        p = self.potential
-        a_tot = sum(self.subset_alpha.values())
-        out = (1.0 - a_tot) * p.energy(y) if a_tot != 1.0 else 0.0
-        for s, y_perp, y_par in self._index_terms(y):
-            a = self.subset_alpha.get(s, 0.0)
-            b = self.subset_beta.get(s, 0.0)
-            if a != 0.0:
-                out += a * p.energy(y_perp)
-            if b != 0.0:
-                out -= b * p.energy(y_par)
-        return out
-
-    def _index_gradient(self, y):
-        p, V = self.potential, self.directions
-        a_tot = sum(self.subset_alpha.values())
-        g = (1.0 - a_tot) * p.gradient(y) if a_tot != 1.0 else np.zeros_like(y)
-        for s, y_perp, y_par in self._index_terms(y):
-            cols = list(s)
-            Vs = V[:, cols]
-            a = self.subset_alpha.get(s, 0.0)
-            b = self.subset_beta.get(s, 0.0)
-            if a != 0.0:
-                gh = p.gradient(y_perp)
-                g += a * (gh - Vs @ (Vs.T @ gh))
-            if b != 0.0:
-                gr = p.gradient(y_par)
-                g -= b * (Vs @ (Vs.T @ gr))
-        return g
-
-    def _index_hessian_vec(self, y, u):
-        p, V = self.potential, self.directions
-        a_tot = sum(self.subset_alpha.values())
-        out = (1.0 - a_tot) * p.hessian_vec(y, u) if a_tot != 1.0 else np.zeros_like(u)
-        for s, y_perp, y_par in self._index_terms(y):
-            cols = list(s)
-            Vs = V[:, cols]
-            a = self.subset_alpha.get(s, 0.0)
-            b = self.subset_beta.get(s, 0.0)
-            if a != 0.0:
-                up = u - Vs @ (Vs.T @ u)
-                hv = p.hessian_vec(y_perp, up)
-                out += a * (hv - Vs @ (Vs.T @ hv))
-            if b != 0.0:
-                hr = p.hessian_vec(y_par, Vs @ (Vs.T @ u))
-                out -= b * (Vs @ (Vs.T @ hr))
-        return out
-
-    # -- sphere ---------------------------------------------------------
-
-    def _sphere_points(self, y):
-        f = self.frame
-        th, a, b = _geodesic_theta(f.x, f.v, y)
-        tp, ap, bp = _geodesic_theta(f.x, f.v_perp, y)
-        along = f.x * math.cos(th) + f.v * math.sin(th)
-        perp = f.x * math.cos(tp) + f.v_perp * math.sin(tp)
-        return (th, a, b, along), (tp, ap, bp, perp)
-
-    def _sphere_value(self, y):
-        p = self.potential
-        (_, _, _, along), (_, _, _, perp) = self._sphere_points(y)
-        out = 0.0
-        if self.alpha != 1.0:
-            out += (1.0 - self.alpha) * p.energy(y)
-        if self.alpha != 0.0:
-            out += self.alpha * p.energy(perp)
-        if self.beta != 0.0:
-            out -= self.beta * p.energy(along)
-        return out
-
-    def _sphere_gradient(self, y):
-        p, f = self.potential, self.frame
-        (th, a, b, along), (tp, ap, bp, perp) = self._sphere_points(y)
-        g = np.zeros_like(y)
-        if self.alpha != 1.0:
-            g += (1.0 - self.alpha) * p.gradient(y)
-        if self.alpha != 0.0:
-            # d/dy V(xi(theta_y)) = <grad V, xi'(theta)> dtheta/dy
-            dxi = -f.x * math.sin(tp) + f.v_perp * math.cos(tp)
-            dth = (ap * f.v_perp - bp * f.x) / (ap * ap + bp * bp)
-            g += self.alpha * float(p.gradient(perp) @ dxi) * dth
-        if self.beta != 0.0:
-            dxi = -f.x * math.sin(th) + f.v * math.cos(th)
-            dth = (a * f.v - b * f.x) / (a * a + b * b)
-            g -= self.beta * float(p.gradient(along) @ dxi) * dth
-        return g
-
-    def _sphere_hessian_vec(self, y, u):
-        # central differences on the analytic gradient
-        h = 1e-6 * (1.0 + np.linalg.norm(y, ord=np.inf))
-        un = np.linalg.norm(u)
-        if un == 0.0:
-            return np.zeros_like(u)
-        step = (h / un) * u
-        grad = self._sphere_gradient if self.variant == "sphere" else self._naive_gradient
-        gp = grad(y + step)
-        gm = grad(y - step)
-        return (gp - gm) * (un / (2.0 * h))
-
-    # -- sphere, straight-line projection pulled back by retraction ------
-
-    def _naive_point(self, y):
-        f = self.frame
-        c = float(f.v @ (y - f.x))
-        w = f.x + c * f.v
-        n = float(np.linalg.norm(w))
-        return w / n, n
-
-    def _naive_value(self, y):
-        p = self.potential
-        xi, _ = self._naive_point(y)
-        return p.energy(y) - self.beta * p.energy(xi)
-
-    def _naive_gradient(self, y):
-        p, f = self.potential, self.frame
-        xi, n = self._naive_point(y)
-        gxi = p.gradient(xi)
-        gxi = gxi - (xi @ gxi) * xi
-        return p.gradient(y) - (self.beta / n) * float(f.v @ gxi) * f.v
-
-    # -- public evaluation ----------------------------------------------
-
     def value(self, y) -> float:
         y = self._check(y)
-        if self.variant == "flat":
-            return float(self._flat_value(y))
-        if self.variant == "index":
-            return float(self._index_value(y))
-        if self.variant == "sphere":
-            return float(self._sphere_value(y))
-        return float(self._naive_value(y))
+        energy = self.potential.energy
+        out = 0.0
+        if self.base_weight != 0.0:
+            out += self.base_weight * energy(y)
+        for w, point, _ in self.terms:
+            out += w * energy(point(y))
+        return float(out)
+
+    def _gradient(self, y):
+        gradient = self.potential.gradient
+        g = np.zeros(y.shape)  # zeros_like costs several times more per call
+        if self.base_weight != 0.0:
+            g += self.base_weight * gradient(y)
+        for w, point, pullback in self.terms:
+            g += pullback(y, gradient(point(y)), w)
+        return g
 
     def gradient(self, y) -> np.ndarray:
-        y = self._check(y)
-        if self.variant == "flat":
-            return self._flat_gradient(y)
-        if self.variant == "index":
-            return self._index_gradient(y)
-        if self.variant == "sphere":
-            return self._sphere_gradient(y)
-        return self._naive_gradient(y)
+        return self._gradient(self._check(y))
 
     def hessian_vec(self, y, u) -> np.ndarray:
         y = self._check(y)
         u = np.asarray(u, dtype=float)
         if u.shape != y.shape:
             raise DimensionError("hessian_vec direction has wrong shape")
-        if self.variant == "flat":
-            return self._flat_hessian_vec(y, u)
-        if self.variant == "index":
-            return self._index_hessian_vec(y, u)
-        return self._sphere_hessian_vec(y, u)
+        if self.on_sphere:
+            # central differences on the analytic gradient
+            h = 1e-6 * (1.0 + np.linalg.norm(y, ord=np.inf))
+            un = np.linalg.norm(u)
+            if un == 0.0:
+                return np.zeros_like(u)
+            step = (h / un) * u
+            return (self._gradient(y + step) - self._gradient(y - step)) * (un / (2.0 * h))
+        hessian_vec = self.potential.hessian_vec
+        out = np.zeros(u.shape)
+        if self.base_weight != 0.0:
+            out += self.base_weight * hessian_vec(y, u)
+        for w, point, pullback in self.terms:
+            out += pullback(y, hessian_vec(point(y), pullback(y, u, 1.0)), w)
+        return out
 
     def precondition_diag(self, y):
         """Curvature-scale hint for inner solvers (None when unavailable).
@@ -349,6 +255,21 @@ class ModifiedObjective:
         if self.potential.hessian_diag_fn is None:
             return None
         return np.asarray(self.potential.hessian_diag_fn(np.asarray(y, float)), dtype=float)
+
+
+def _linear_objective(p, x, V, subset_alpha, subset_beta) -> ModifiedObjective:
+    """Straight-line terms for each weighted subset of the columns of ``V``."""
+    terms = []
+    for s in sorted(set(subset_alpha) | set(subset_beta)):
+        terms += _subspace_terms(x, V[:, list(s)], subset_alpha.get(s, 0.0), subset_beta.get(s, 0.0))
+    a_tot = sum(subset_alpha.values())
+    return ModifiedObjective(
+        potential=p,
+        anchor=x,
+        base_weight=1.0 - a_tot,
+        terms=tuple(terms),
+        coefficient_sum=float(a_tot + sum(subset_beta.values())),
+    )
 
 
 def build_flat(p, x, v, alpha, beta) -> ModifiedObjective:
@@ -367,14 +288,7 @@ def build_flat(p, x, v, alpha, beta) -> ModifiedObjective:
     v = _as_unit(v)
     if v.shape != x.shape:
         raise DimensionError("anchor and direction dimensions differ")
-    return ModifiedObjective(
-        potential=p,
-        anchor=x,
-        directions=v[:, None],
-        variant="flat",
-        alpha=float(alpha),
-        beta=float(beta),
-    )
+    return _linear_objective(p, x, v[:, None], {(0,): float(alpha)}, {(0,): float(beta)})
 
 
 def _normalize_subsets(coeffs, m, what):
@@ -416,14 +330,7 @@ def build_index_m(p, x, directions, subset_alpha=None, subset_beta=None) -> Modi
             f"sum of subset coefficients = {total:g} <= 1: reversal too weak "
             "for the anchor Hessian to be positive definite at a saddle"
         )
-    return ModifiedObjective(
-        potential=p,
-        anchor=x,
-        directions=V,
-        variant="index",
-        subset_alpha=sa,
-        subset_beta=sb,
-    )
+    return _linear_objective(p, x, V, sa, sb)
 
 
 def build_manifold(p, frame: GeodesicFrame, variant="ray", alpha=None, beta=None) -> ModifiedObjective:
@@ -444,14 +351,15 @@ def build_manifold(p, frame: GeodesicFrame, variant="ray", alpha=None, beta=None
         raise CoefficientError(f"alpha + beta = {alpha + beta:g} <= 1")
     if p.dimension != 3:
         raise DimensionError("sphere objectives require a 3-dimensional potential")
+    terms = (_great_circle_term(alpha, frame.x, frame.v_perp),
+             _great_circle_term(-beta, frame.x, frame.v))
     return ModifiedObjective(
         potential=p,
         anchor=frame.x,
-        directions=frame.v[:, None],
-        variant="sphere",
-        alpha=alpha,
-        beta=beta,
-        frame=frame,
+        base_weight=1.0 - alpha,
+        terms=tuple(t for t in terms if t.weight != 0.0),
+        coefficient_sum=alpha + beta,
+        on_sphere=True,
     )
 
 
@@ -483,9 +391,8 @@ def build_sphere_naive(p, frame: GeodesicFrame, beta=2.0) -> ModifiedObjective:
     return ModifiedObjective(
         potential=p,
         anchor=frame.x,
-        directions=frame.v[:, None],
-        variant="sphere_naive",
-        alpha=0.0,
-        beta=float(beta),
-        frame=frame,
+        base_weight=1.0,
+        terms=(_retracted_line_term(-float(beta), frame.x, frame.v),),
+        coefficient_sum=float(beta),
+        on_sphere=True,
     )

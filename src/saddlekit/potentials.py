@@ -406,63 +406,54 @@ def _morse_island(spec: MorseClusterSpec = None) -> PotentialModel:
         full[free_idx] = xa
         return full
 
-    def energy(x):
+    def _separations(x):
+        """Vectors and lengths of the listed pairs at x, and the cutoff mask."""
         full = _assemble(x)
         dvec = full[ia] - full[ja]
         r = np.sqrt(np.einsum("ij,ij->i", dvec, dvec))
-        m = r < rc
+        return dvec, r, r < rc
+
+    def _pairs(x):
+        """Pairs inside the cutoff: atom indices, vectors, lengths, phi', phi''."""
+        dvec, r, m = _separations(x)
+        rm = r[m]
+        _, dphi, ddphi = _morse_pair_terms(rm, spec)
+        return ia[m], ja[m], dvec[m], rm, dphi, ddphi
+
+    def _scatter(i, j, vals, combine):
+        """combine(sums of pair rows at atom i, sums at atom j), free coordinates."""
+        out = np.zeros((n_atoms, 3))
+        for k in range(3):
+            out[:, k] = combine(np.bincount(i, weights=vals[:, k], minlength=n_atoms),
+                                np.bincount(j, weights=vals[:, k], minlength=n_atoms))
+        return out[free_idx].ravel()
+
+    def energy(x):
+        _, r, m = _separations(x)
         phi, _, _ = _morse_pair_terms(r[m], spec)
         return float(phi.sum()) + e_static
 
     def gradient(x):
-        full = _assemble(x)
-        dvec = full[ia] - full[ja]
-        r = np.sqrt(np.einsum("ij,ij->i", dvec, dvec))
-        m = r < rc
-        i, j, rm = ia[m], ja[m], r[m]
-        _, dphi, _ = _morse_pair_terms(rm, spec)
-        f = (dphi / rm)[:, None] * dvec[m]
-        g = np.zeros((n_atoms, 3))
-        for k in range(3):
-            g[:, k] = np.bincount(i, weights=f[:, k], minlength=n_atoms)
-            g[:, k] -= np.bincount(j, weights=f[:, k], minlength=n_atoms)
-        return g[free_idx].ravel()
+        i, j, dm, rm, dphi, _ = _pairs(x)
+        return _scatter(i, j, (dphi / rm)[:, None] * dm, np.subtract)
 
     def hess_vec(x, u):
-        full = _assemble(x)
+        i, j, dm, rm, dphi, ddphi = _pairs(x)
         ufull = np.zeros((n_atoms, 3))
         ufull[free_idx] = u.reshape(-1, 3)
-        dvec = full[ia] - full[ja]
-        r = np.sqrt(np.einsum("ij,ij->i", dvec, dvec))
-        m = r < rc
-        i, j, rm = ia[m], ja[m], r[m]
-        _, dphi, ddphi = _morse_pair_terms(rm, spec)
-        rhat = dvec[m] / rm[:, None]
+        rhat = dm / rm[:, None]
         s = ufull[i] - ufull[j]
         radial = np.einsum("ij,ij->i", rhat, s)
         tang = dphi / rm
         hv = (ddphi - tang)[:, None] * radial[:, None] * rhat + tang[:, None] * s
-        out = np.zeros((n_atoms, 3))
-        for k in range(3):
-            out[:, k] = np.bincount(i, weights=hv[:, k], minlength=n_atoms)
-            out[:, k] -= np.bincount(j, weights=hv[:, k], minlength=n_atoms)
-        return out[free_idx].ravel()
+        return _scatter(i, j, hv, np.subtract)
 
     def hess_diag(x):
-        full = _assemble(x)
-        dvec = full[ia] - full[ja]
-        r = np.sqrt(np.einsum("ij,ij->i", dvec, dvec))
-        m = r < rc
-        i, j, rm = ia[m], ja[m], r[m]
-        _, dphi, ddphi = _morse_pair_terms(rm, spec)
-        rhat = dvec[m] / rm[:, None]
+        i, j, dm, rm, dphi, ddphi = _pairs(x)
+        rhat = dm / rm[:, None]
         tang = dphi / rm
         dd = (ddphi - tang)[:, None] * rhat * rhat + tang[:, None]
-        out = np.zeros((n_atoms, 3))
-        for k in range(3):
-            out[:, k] = np.bincount(i, weights=dd[:, k], minlength=n_atoms)
-            out[:, k] += np.bincount(j, weights=dd[:, k], minlength=n_atoms)
-        return out[free_idx].ravel()
+        return _scatter(i, j, dd, np.add)
 
     return PotentialModel(
         name="morse_island",

@@ -81,7 +81,6 @@ class SearchConfig:
     sphere_variant: str = "ray"
     adaptive_sum: bool = False
     divergence_radius: float = np.inf
-    energy_floor: float = -np.inf
     domain: tuple = None  # ((lo...), (hi...)) box; leaving it ends the run
     verify_index: bool = True
     verify_cap: int = 1000
@@ -322,8 +321,7 @@ def run(p, x0, cfg: SearchConfig) -> ConvergenceRecord:
                 if np.any(state.x < lo) or np.any(state.x > hi):
                     record.status = "left_region"
                     break
-            if (np.linalg.norm(state.x) > cfg.divergence_radius
-                    or p.energy(state.x) < cfg.energy_floor):
+            if np.linalg.norm(state.x) > cfg.divergence_radius:
                 record.status = "diverged"
                 break
             if state.grad_norm <= cfg.grad_tol:

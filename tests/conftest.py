@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import saddlekit as sk
+from saddlekit.harness import _fd_gradient as fd_gradient  # noqa: F401  (imported by the test modules)
 
 
 @pytest.fixture(scope="session")
@@ -33,16 +34,6 @@ def morse_minimum(morse):
     sol = minimize(morse, x0, SubsolveConfig(grad_tol=1e-11, max_inner_iters=6000))
     assert sol.grad_norm < 1e-10
     return sol.y
-
-
-def fd_gradient(f, x, h=1e-5):
-    """Central-difference gradient of the scalar function ``f`` at ``x``."""
-    g = np.empty_like(x)
-    for i in range(x.size):
-        e = np.zeros_like(x)
-        e[i] = h
-        g[i] = (f(x + e) - f(x - e)) / (2.0 * h)
-    return g
 
 
 def circle_point(center, radius, theta):

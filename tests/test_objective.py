@@ -1,11 +1,13 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import saddlekit as sk
 from saddlekit.errors import CoefficientError, DimensionError, OffManifoldError
 from saddlekit.objective import COEFFICIENT_PRESETS, sphere_frame
 
-from conftest import fd_gradient
+from conftest import fd_gradient, make_index2_cubic
 
 
 def _dense_hessian_of(L, y):
@@ -212,8 +214,14 @@ def test_index_two_full_reversal():
 def test_index_m_default_coefficients():
     p = sk.from_quadratic(np.diag([-2.0, -1.0, 3.0]))
     L = sk.build_index_m(p, np.zeros(3), np.eye(3)[:, :2])
-    assert L.subset_beta == {(0, 1): 2.0}
-    assert L.coefficient_sum == 2.0
+    explicit = sk.build_index_m(p, np.zeros(3), np.eye(3)[:, :2], subset_beta={(0, 1): 2.0})
+    assert L.coefficient_sum == explicit.coefficient_sum == 2.0
+    rng = np.random.default_rng(17)
+    for _ in range(5):
+        y, u = rng.standard_normal(3), rng.standard_normal(3)
+        assert L.value(y) == explicit.value(y)
+        assert np.array_equal(L.gradient(y), explicit.gradient(y))
+        assert np.array_equal(L.hessian_vec(y, u), explicit.hessian_vec(y, u))
 
 
 def test_index_m_validation():
@@ -229,7 +237,6 @@ def test_index_m_validation():
 
 def test_index_m_gradient_fd():
     rng = np.random.default_rng(10)
-    from conftest import make_index2_cubic
     q = make_index2_cubic()
     x = 0.2 * rng.standard_normal(3)
     modes = sk.min_modes(q, x, m=2, tol=1e-12)
@@ -347,7 +354,8 @@ def test_sphere_naive_point_on_mode_great_circle(sphere_quad):
         y = rng.standard_normal(3)
         y /= np.linalg.norm(y)
         theta = np.arctan(f.v @ (y - f.x))
-        xi, _ = L._naive_point(y)
+        (term,) = L.terms
+        xi = term.point(y)
         expect = np.cos(theta) * f.x + np.sin(theta) * f.v
         assert np.linalg.norm(xi - expect) <= 1e-14
 
@@ -358,3 +366,97 @@ def test_dimension_checks(three_hole):
         L.value(np.zeros(3))
     with pytest.raises(DimensionError):
         L.hessian_vec(np.zeros(2), np.zeros(3))
+
+
+# -- properties shared by all four constructions ------------------------------
+
+KINDS = ("flat", "index_m", "hyperplane", "ray", "mix", "naive")
+_PROPERTY = settings(max_examples=60, deadline=None)
+_SEEDS = st.integers(0, 2**32 - 1)
+
+
+def _objective(kind, seed, flip=False):
+    """``(L, y, tangents, u)`` for one seed: a random objective of ``kind``,
+    a point near its anchor, an orthonormal tangent basis at the point on
+    the sphere (None in flat space) and a direction.
+
+    ``flip`` negates mode columns (all of them, or a random nonempty set for
+    index-m); every other draw is the same for one seed.
+    """
+    rng = np.random.default_rng(seed)
+    u = rng.standard_normal(3)
+    if kind in ("flat", "index_m"):
+        p = make_index2_cubic()
+        x = 0.3 * rng.standard_normal(3)
+        y = x + 0.3 * rng.standard_normal(3)
+        if kind == "flat":
+            v = rng.standard_normal(3)
+            v /= np.linalg.norm(v)
+            a, b = COEFFICIENT_PRESETS[rng.choice(sorted(COEFFICIENT_PRESETS))]
+            return sk.build_flat(p, x, -v if flip else v, a, b), y, None, u
+        V, _ = np.linalg.qr(rng.standard_normal((3, 2)))
+        signs = ((-1.0, 1.0), (1.0, -1.0), (-1.0, -1.0))[rng.integers(3)]
+        subsets = ((0,), (1,), (0, 1))
+        sa = {s: float(w) for s, w in zip(subsets, rng.choice([0.0, 0.5, 1.0], 3))}
+        sb = {s: float(w) for s, w in zip(subsets, rng.choice([0.0, 0.5, 2.0], 3))}
+        if sum(sa.values()) + sum(sb.values()) <= 1.0:
+            sb[(0, 1)] = 2.0
+        L = sk.build_index_m(p, x, V * signs if flip else V, sa, sb)
+        return L, y, None, u
+    p = sk.make_builtin("sphere_quadratic")
+    x = rng.standard_normal(3)
+    x /= np.linalg.norm(x)
+    v = rng.standard_normal(3)
+    frame = sphere_frame(x, -v if flip else v)
+    t = rng.standard_normal(3)
+    t -= (t @ x) * x
+    t /= np.linalg.norm(t)
+    s = rng.uniform(0.0, 1.0)  # within 1 rad, where x.y > 0 keeps every map smooth
+    y = np.cos(s) * x + np.sin(s) * t
+    y /= np.linalg.norm(y)
+    tangents = np.linalg.svd(np.eye(3) - np.outer(y, y))[0][:, :2]
+    if kind == "naive":
+        return sk.build_sphere_naive(p, frame), y, tangents, u
+    return sk.build_manifold(p, frame, kind), y, tangents, u
+
+
+@_PROPERTY
+@given(kind=st.sampled_from(KINDS), seed=_SEEDS)
+def test_objective_gradient_matches_fd_of_value(kind, seed):
+    L, y, tangents, _ = _objective(kind, seed)
+    g = L.gradient(y)
+    if tangents is None:
+        gfd = fd_gradient(L.value, y)
+        assert np.linalg.norm(g - gfd) <= 1e-6 * max(1.0, np.linalg.norm(gfd))
+        return
+    # on the sphere: derivatives along great circles through y, which keep
+    # the difference points on the sphere
+    h = 1e-5
+    for t in tangents.T:
+        dfd = (L.value(np.cos(h) * y + np.sin(h) * t) - L.value(np.cos(h) * y - np.sin(h) * t)) / (2 * h)
+        assert abs(g @ t - dfd) <= 1e-6 * max(1.0, abs(dfd))
+
+
+@_PROPERTY
+@given(kind=st.sampled_from(KINDS), seed=_SEEDS)
+def test_objective_invariant_under_mode_sign_flips(kind, seed):
+    L, y, _, u = _objective(kind, seed)
+    Lf, yf, _, _ = _objective(kind, seed, flip=True)
+    assert np.array_equal(y, yf)
+    if kind not in ("flat", "index_m"):
+        u = u - (u @ y) * y  # a tangent direction keeps the difference points on the sphere
+    scale = max(1.0, abs(L.value(y)))
+    assert abs(L.value(y) - Lf.value(y)) <= 1e-12 * scale
+    g = L.gradient(y)
+    assert np.linalg.norm(g - Lf.gradient(y)) <= 1e-12 * max(1.0, np.linalg.norm(g))
+    hv = L.hessian_vec(y, u)
+    assert np.linalg.norm(hv - Lf.hessian_vec(y, u)) <= 1e-8 * max(1.0, np.linalg.norm(hv))
+
+
+@_PROPERTY
+@given(kind=st.sampled_from(("flat", "index_m")), seed=_SEEDS)
+def test_linear_objective_hessian_vec_matches_fd_of_gradient(kind, seed):
+    L, y, _, u = _objective(kind, seed)
+    h, un = 1e-6, np.linalg.norm(u)
+    hfd = (L.gradient(y + (h / un) * u) - L.gradient(y - (h / un) * u)) * (un / (2 * h))
+    assert np.linalg.norm(L.hessian_vec(y, u) - hfd) <= 1e-5 * max(1.0, np.linalg.norm(hfd))
