@@ -178,11 +178,14 @@ def min_modes(p, x, m=1, v0=None, tol=1e-10, projector=None, max_iters=1000,
             W = R / np.maximum(denom, 1e-3 * span)[:, None]
         else:
             W = R.copy()
+        w_norms = np.linalg.norm(W, axis=0)
         for _ in range(2):
             W -= X @ (X.T @ W)
             if P is not None:
                 W -= P @ (P.T @ W)
-        W = _orthonormalize(W)
+        # a column reduced to roundoff lies numerically in span(X, P); drop it
+        # rather than normalize the roundoff into a spurious direction
+        W = _orthonormalize(W[:, np.linalg.norm(W, axis=0) > 1e-10 * w_norms])
         if W.shape[1] == 0:
             if P is None:
                 break  # invariant subspace reached

@@ -14,6 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .eigen import min_modes
+from .manifold import tangent_projector
 
 __all__ = ["GADState", "GADTrajectory", "euler_step", "euler_step_manifold", "run"]
 
@@ -38,11 +39,6 @@ class GADState:
             raise ValueError("gamma must be positive")
 
 
-def _exact_mode(p, x, v_prev=None):
-    res = min_modes(p, x, m=1, v0=v_prev, tol=1e-13)
-    return res.eigenvectors[:, 0]
-
-
 def euler_step(p, s: GADState, dt, reversal=2.0, exact_mode=False) -> GADState:
     """One explicit Euler step of the coupled flow.
 
@@ -55,7 +51,7 @@ def euler_step(p, s: GADState, dt, reversal=2.0, exact_mode=False) -> GADState:
         raise ValueError("dt must be positive")
     x, v = s.x, s.v
     if exact_mode:
-        v = _exact_mode(p, x, v)
+        v = min_modes(p, x, m=1, v0=v, tol=1e-13).eigenvectors[:, 0]
     g = p.gradient(x)
     vv = float(v @ v)
     x_new = x + dt * (-g + reversal * (float(g @ v) / vv) * v)
@@ -76,8 +72,6 @@ def euler_step_manifold(p, M, s: GADState, dt, reversal=2.0) -> GADState:
     action with a multiplier preserving unit length, then is re-projected
     tangent at the new point.
     """
-    from .manifold import tangent_projector
-
     if dt <= 0:
         raise ValueError("dt must be positive")
     proj = tangent_projector(M, s.x)
@@ -153,8 +147,6 @@ def run(p, s0: GADState, dt, max_steps=10000, tol=1e-8, reversal=2.0,
         manifold.check_feasible(s.x)
     for k in range(max_steps + 1):
         if manifold is not None:
-            from .manifold import tangent_projector
-
             proj = tangent_projector(manifold, s.x)
             g = proj(p.gradient(s.x))
             v = proj(s.v)

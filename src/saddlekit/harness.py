@@ -5,6 +5,7 @@ in :func:`load_config`).  Every preset and scan is deterministic: seeds are
 explicit in the config and echoed into the outputs.
 """
 
+import functools
 import json
 import math
 import os
@@ -16,7 +17,9 @@ import yaml
 
 from . import gad as gad_mod
 from . import manifold as mf
-from .eigen import stationary_index
+# unused here since run() classifies terminal points; the benchmark's
+# traced run rebinds this name, so it stays importable
+from .eigen import stationary_index  # noqa: F401
 from .errors import OrderEstimateError
 from .objective import COEFFICIENT_PRESETS, build_flat
 from .potentials import make_builtin, morse_full_coordinates, write_xyz
@@ -37,6 +40,9 @@ __all__ = [
     "doa_scan",
     "emit_table",
     "near_saddle_runs",
+    "preset_runs",
+    "fig2_grids",
+    "table5_config",
     "bench",
     "run_invariant_checks",
     "BENCH_PRESETS",
@@ -106,21 +112,12 @@ def load_config(path) -> ExperimentConfig:
 def _search_config(cfg: ExperimentConfig, reference=None) -> SearchConfig:
     s = dict(cfg.search)
     sub = {**cfg.subsolve, **s.pop("subsolve", {})}
-    subset_alpha = s.pop("subset_alpha", None)
-    subset_beta = s.pop("subset_beta", None)
-    if subset_alpha is not None:
-        subset_alpha = {tuple(k) if isinstance(k, (list, tuple)) else (int(k),): v
-                        for k, v in subset_alpha.items()}
-    if subset_beta is not None:
-        subset_beta = {tuple(k) if isinstance(k, (list, tuple)) else (int(k),): v
-                       for k, v in subset_beta.items()}
-    return SearchConfig(
-        subsolve=SubsolveConfig(**sub),
-        reference=reference,
-        subset_alpha=subset_alpha,
-        subset_beta=subset_beta,
-        **s,
-    )
+    for key in ("subset_alpha", "subset_beta"):
+        if s.get(key) is not None:
+            # a YAML subset key is one mode index or a list of them
+            s[key] = {tuple(k) if isinstance(k, (list, tuple)) else (int(k),): v
+                      for k, v in s[key].items()}
+    return SearchConfig(subsolve=SubsolveConfig(**sub), reference=reference, **s)
 
 
 def _starts(cfg: ExperimentConfig, p):
@@ -132,28 +129,16 @@ def _starts(cfg: ExperimentConfig, p):
     if "circle" in spec:
         c = spec["circle"]
         center = np.asarray(c["center"], dtype=float)
-        radius = float(c["radius"])
-        count = int(c.get("count", 1))
         if center.shape != (2,):
             raise ValueError("circle starts require a 2-d center")
-        pts = []
-        for _ in range(count):
-            th = rng.uniform(0.0, 2.0 * math.pi)
-            pts.append(center + radius * np.array([math.cos(th), math.sin(th)]))
-        return pts, cfg.seed
+        return [_on_circle(rng, center, float(c["radius"]))
+                for _ in range(int(c.get("count", 1)))], cfg.seed
     if "sphere_cap" in spec:
         c = spec["sphere_cap"]
         center = np.asarray(c["center"], dtype=float)
         center = center / np.linalg.norm(center)
-        dist = float(c["geodesic_distance"])
-        count = int(c.get("count", 1))
-        pts = []
-        for _ in range(count):
-            t = rng.standard_normal(center.size)
-            t -= (t @ center) * center
-            t /= np.linalg.norm(t)
-            pts.append(math.cos(dist) * center + math.sin(dist) * t)
-        return pts, cfg.seed
+        return [_on_cap(rng, center, float(c["geodesic_distance"]))
+                for _ in range(int(c.get("count", 1)))], cfg.seed
     if "perturbed_minimum" in spec:
         # relax the built geometry, then displace free coordinates
         c = spec["perturbed_minimum"]
@@ -163,6 +148,20 @@ def _starts(cfg: ExperimentConfig, p):
         xref = _relaxed_minimum(p, relax_tol)
         return [xref + amp * rng.standard_normal(xref.size) for _ in range(count)], cfg.seed
     raise ValueError(f"unrecognized start spec {sorted(spec)}")
+
+
+def _on_circle(rng, center, radius):
+    """A point on the circle about ``center``, at a uniformly drawn angle."""
+    th = rng.uniform(0.0, 2.0 * math.pi)
+    return center + radius * np.array([math.cos(th), math.sin(th)])
+
+
+def _on_cap(rng, center, dist):
+    """A point ``dist`` radians from the unit ``center``, in a random direction."""
+    t = rng.standard_normal(center.size)
+    t -= (t @ center) * center
+    t /= np.linalg.norm(t)
+    return math.cos(dist) * center + math.sin(dist) * t
 
 
 def _relaxed_minimum(p, tol=1e-11):
@@ -396,13 +395,11 @@ def _doa_cell(args):
         cfg = SearchConfig(
             alpha=1.0, beta=1.0, grad_tol=1e-8, eig_tol=1e-8,
             subsolve=SubsolveConfig(grad_tol=1e-10, max_inner_iters=200, box_radius=box),
-            max_outer_iters=budget, divergence_radius=50.0, verify_index=False,
+            max_outer_iters=budget, divergence_radius=50.0,
         )
         rec = run_search(p, x0, cfg)
-        if not rec.converged:
-            return -1, rec.iterations
         x, iters = rec.x, rec.iterations
-        if stationary_index(p, x) != 1:
+        if rec.terminal_index != 1:  # None unless the run converged
             return -1, iters
     elif method == "newton":
         res = newton_stationary(p, x0, tol=1e-8, max_iters=budget)
@@ -469,8 +466,7 @@ def near_saddle_runs(seed, presets, grad_tol, subsolve_tol, max_inner, max_outer
     records = []
     for sp in (p.stationary_points[0][0], p.stationary_points[1][0]):
         for a, b in presets:
-            th = rng.uniform(0.0, 2.0 * math.pi)
-            x0 = sp + 0.2 * np.array([math.cos(th), math.sin(th)])
+            x0 = _on_circle(rng, sp, 0.2)
             cfg = SearchConfig(
                 alpha=a, beta=b, grad_tol=grad_tol, eig_tol=1e-12,
                 subsolve=SubsolveConfig(grad_tol=subsolve_tol, max_inner_iters=max_inner,
@@ -482,20 +478,19 @@ def near_saddle_runs(seed, presets, grad_tol, subsolve_tol, max_inner, max_outer
     return records
 
 
-def _bench_table1(out_dir, seed):
+def _table1(seed):
     return near_saddle_runs(seed, COEFFICIENT_PRESETS.values(), grad_tol=5e-14,
                             subsolve_tol=1e-14, max_inner=500, max_outer=6)
 
 
-def _bench_table2(out_dir, seed):
+def _table2(seed):
     p = make_builtin("three_hole")
     rng = np.random.default_rng(seed)
     center = np.array([-1.0, 0.0])
     records = []
     for draw in range(2):
         for name, (a, b) in COEFFICIENT_PRESETS.items():
-            th = rng.uniform(0.0, 2.0 * math.pi)
-            x0 = center + 0.1 * np.array([math.cos(th), math.sin(th)])
+            x0 = _on_circle(rng, center, 0.1)
             cfg = SearchConfig(
                 alpha=a, beta=b, grad_tol=1e-12, eig_tol=1e-12,
                 subsolve=SubsolveConfig(grad_tol=1e-14, max_inner_iters=500, box_radius=0.25),
@@ -507,38 +502,49 @@ def _bench_table2(out_dir, seed):
     return records
 
 
-def _bench_table3(out_dir, seed):
+def _table3(seed):
     records = near_saddle_runs(seed, ((2.0, 0.0), (0.0, 2.0)), grad_tol=1e-11,
                                subsolve_tol=1e-16, max_inner=3, max_outer=8)
     return [("3cg" + label, rec) for label, rec in records]
 
 
-def _bench_table4(out_dir, seed):
+@functools.cache
+def _island():
+    """The Morse island and its relaxed minimum (read-only), relaxed once per process."""
     p = make_builtin("morse_island")
     xmin = _relaxed_minimum(p)
+    xmin.setflags(write=False)
+    return p, xmin
+
+
+def _table4(seed):
+    p, xmin = _island()
     rng = np.random.default_rng(seed)
-    records = []
-    for name, (a, b) in (("ray", COEFFICIENT_PRESETS["ray"]),):
-        x0 = xmin + 0.05 * rng.standard_normal(xmin.size)
-        cfg = SearchConfig(
-            alpha=a, beta=b, grad_tol=1e-10, eig_tol=1e-9,
-            subsolve=SubsolveConfig(grad_tol=1e-12, max_inner_iters=2000, box_radius=0.2),
-            max_outer_iters=25, verify_index=False,
-        )
-        rec = run_search(p, x0, cfg)
-        if rec.converged:
-            # no tabulated saddle exists for the cluster: report distances to
-            # the converged point, the way such error columns are produced
-            _rereference(rec, rec.x)
-        records.append((f"island({a:g},{b:g})", rec))
-        write_xyz(os.path.join(out_dir, "island_minimum.xyz"),
-                  morse_full_coordinates(p, xmin), symbol="Pt", comment="relaxed island minimum")
-        write_xyz(os.path.join(out_dir, "island_saddle.xyz"),
-                  morse_full_coordinates(p, rec.x), symbol="Pt", comment="converged island saddle")
-    return records
+    a, b = COEFFICIENT_PRESETS["ray"]
+    x0 = xmin + 0.05 * rng.standard_normal(xmin.size)
+    cfg = SearchConfig(
+        alpha=a, beta=b, grad_tol=1e-10, eig_tol=1e-9,
+        subsolve=SubsolveConfig(grad_tol=1e-12, max_inner_iters=2000, box_radius=0.2),
+        max_outer_iters=25,
+    )
+    rec = run_search(p, x0, cfg)
+    if rec.converged:
+        # no tabulated saddle exists for the cluster: report distances to
+        # the converged point, the way such error columns are produced
+        _rereference(rec, rec.x)
+    return [(f"island({a:g},{b:g})", rec)]
 
 
-def _bench_table5(out_dir, seed):
+def table5_config(variant):
+    """Table5's search settings for one sphere variant (``naive``: 40 outer iterations)."""
+    return SearchConfig(
+        on_sphere=True, sphere_variant=variant, grad_tol=5e-14, eig_tol=1e-12,
+        subsolve=SubsolveConfig(grad_tol=1e-15, max_inner_iters=500),
+        max_outer_iters=8 if variant != "naive" else 40,
+    )
+
+
+def _table5(seed):
     # the "naive" run is a negative control: straight-line projection with
     # retraction instead of the geodesic machinery
     p = make_builtin("sphere_quadratic")
@@ -546,19 +552,38 @@ def _bench_table5(out_dir, seed):
     e1 = np.array([1.0, 0.0, 0.0])
     records = []
     for variant in ("hyperplane", "ray", "naive"):
-        t = rng.standard_normal(3)
-        t -= (t @ e1) * e1
-        t /= np.linalg.norm(t)
-        x0 = math.cos(0.1) * e1 + math.sin(0.1) * t
-        cfg = SearchConfig(
-            on_sphere=True, sphere_variant=variant, grad_tol=5e-14, eig_tol=1e-12,
-            subsolve=SubsolveConfig(grad_tol=1e-15, max_inner_iters=500),
-            max_outer_iters=8 if variant != "naive" else 40,
-        )
-        rec = run_search(p, x0, cfg)
+        rec = run_search(p, _on_cap(rng, e1, 0.1), table5_config(variant))
         _auto_reference(p, rec, on_sphere=True)
         records.append((variant, rec))
     return records
+
+
+# table preset -> (builder, default seed); fig2 is the attraction-grid preset
+_TABLES = {
+    "table1": (_table1, 0),
+    "table2": (_table2, 7),
+    "table3": (_table3, 0),
+    "table4": (_table4, 42),
+    "table5": (_table5, 4),
+}
+BENCH_PRESETS = (*_TABLES, "fig2")
+
+
+def _table_seed(preset, seed):
+    if preset not in _TABLES:
+        raise ValueError(f"unknown preset {preset!r}; choose from {list(BENCH_PRESETS)}")
+    return _TABLES[preset][1] if seed is None else int(seed)
+
+
+def preset_runs(preset, seed=None):
+    """The ``(label, record)`` pairs of a table preset, without writing files."""
+    return _TABLES[preset][0](_table_seed(preset, seed))
+
+
+def fig2_grids():
+    """The fig2 preset's 50x50 attraction grids, keyed by method (imf, newton)."""
+    region = ((-1.5, 1.5), (-1.5, 2.0))
+    return {method: doa_scan("three_hole", method, region, 50) for method in ("imf", "newton")}
 
 
 def bench(preset, out_dir, seed=None) -> dict:
@@ -566,8 +591,7 @@ def bench(preset, out_dir, seed=None) -> dict:
     os.makedirs(out_dir, exist_ok=True)
     if preset == "fig2":
         summaries = {}
-        for method in ("imf", "newton"):
-            grid = doa_scan("three_hole", method, ((-1.5, 1.5), (-1.5, 2.0)), 50)
+        for method, grid in fig2_grids().items():
             grid.to_csv(os.path.join(out_dir, f"doa_{method}.csv"))
             summaries[method] = grid.summary()
         out = {"preset": preset, "grids": summaries,
@@ -576,27 +600,21 @@ def bench(preset, out_dir, seed=None) -> dict:
             json.dump(out, fh, indent=2)
             fh.write("\n")
         return out
-    builders = {
-        "table1": (_bench_table1, 0),
-        "table2": (_bench_table2, 7),
-        "table3": (_bench_table3, 0),
-        "table4": (_bench_table4, 42),
-        "table5": (_bench_table5, 4),
-    }
-    if preset not in builders:
-        raise ValueError(f"unknown preset {preset!r}; choose from {sorted(builders) + ['fig2']}")
-    build, default_seed = builders[preset]
-    seed = default_seed if seed is None else int(seed)
-    records = build(out_dir, seed)
-    emit_table(records, os.path.join(out_dir, f"{preset}_errors.md"), fmt="markdown")
-    emit_table(records, os.path.join(out_dir, f"{preset}_errors.csv"), fmt="csv")
-    emit_table(records, os.path.join(out_dir, f"{preset}_errors.json"), fmt="json")
+    seed = _table_seed(preset, seed)
+    records = preset_runs(preset, seed)
+    if preset == "table4":
+        p, xmin = _island()
+        for name, x, comment in (("minimum", xmin, "relaxed island minimum"),
+                                 ("saddle", records[0][1].x, "converged island saddle")):
+            write_xyz(os.path.join(out_dir, f"island_{name}.xyz"),
+                      morse_full_coordinates(p, x), symbol="Pt", comment=comment)
+    for ext, fmt in (("md", "markdown"), ("csv", "csv"), ("json", "json")):
+        emit_table(records, os.path.join(out_dir, f"{preset}_errors.{ext}"), fmt=fmt)
     runs = []
     for label, rec in records:
         rec.to_csv(os.path.join(out_dir, f"{preset}_{_slug(label)}.csv"))
-        entry = {"label": label, **rec.summary(), "converged": rec.converged,
-                 "comparison": label == "naive"}
-        runs.append(entry)
+        runs.append({"label": label, **rec.summary(), "converged": rec.converged,
+                     "comparison": label == "naive"})
     summary = {
         "preset": preset,
         "seed": seed,
@@ -617,9 +635,6 @@ def bench(preset, out_dir, seed=None) -> dict:
         json.dump(summary, fh, indent=2)
         fh.write("\n")
     return summary
-
-
-BENCH_PRESETS = ("table1", "table2", "table3", "table4", "table5", "fig2")
 
 
 def _slug(label):

@@ -43,10 +43,6 @@ class ManifoldSpec:
     retraction: callable
     constraint_hessian_vecs: tuple = None
 
-    @property
-    def n_constraints(self):
-        return len(self.constraints)
-
     def residuals(self, x):
         return np.array([c(x) for c in self.constraints], dtype=float)
 

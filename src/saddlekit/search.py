@@ -34,7 +34,12 @@ __all__ = [
     "jacobian_of_step_map",
     "estimate_order",
     "estimate_order_pooled",
+    "INDEX_MAX_DIMENSION",
 ]
+
+# largest dimension whose converged terminal point run() classifies: the
+# check assembles the Hessian from d products and diagonalizes it densely
+INDEX_MAX_DIMENSION = 1000
 
 
 @dataclass(frozen=True, eq=False)
@@ -50,7 +55,6 @@ class SearchState:
     eigenvalues: np.ndarray = None
     outer_iter: int = 0
     grad_norm: float = np.nan
-    last_step_norm: float = 0.0
     last_step_inf: float = 0.0
     last_inner_iters: int = 0
 
@@ -82,8 +86,6 @@ class SearchConfig:
     adaptive_sum: bool = False
     divergence_radius: float = np.inf
     domain: tuple = None  # ((lo...), (hi...)) box; leaving it ends the run
-    verify_index: bool = True
-    verify_cap: int = 1000
     # inner-iteration cap while the anchor is in a convex region: the
     # reversed objective is then unbounded and the solve only walks the
     # trust box, so high precision buys nothing
@@ -151,8 +153,6 @@ def step(p, state: SearchState, cfg: SearchConfig) -> SearchState:
             L = obj.build_sphere_naive(p, frame)
         else:
             L = obj.build_manifold(p, frame, variant=cfg.sphere_variant)
-        sol = mf.solve_constrained_subproblem(L, M, x, cfg.subsolve)
-        g_new = mf.tangent_project(M, sol.y, p.gradient(sol.y))
     else:
         if lam[0] > 0.0 and cfg.subsolve.box_radius is None:
             raise ConvexRegionError(
@@ -176,13 +176,18 @@ def step(p, state: SearchState, cfg: SearchConfig) -> SearchState:
         )
         if escaping and cfg.convex_inner_cap and sub.max_inner_iters > cfg.convex_inner_cap:
             sub = replace(sub, max_inner_iters=cfg.convex_inner_cap)
-        try:
+    try:
+        if cfg.on_sphere:
+            sol = mf.solve_constrained_subproblem(L, M, x, cfg.subsolve)
+        else:
             sol = minimize(L, x, sub)
-        except SubsolveError as exc:
-            raise SubsolveError(
-                f"outer iteration {state.outer_iter + 1}: {exc}", trace=exc.trace
-            ) from exc
-        g_new = p.gradient(sol.y)
+    except SubsolveError as exc:
+        raise SubsolveError(
+            f"outer iteration {state.outer_iter + 1}: {exc}", trace=exc.trace
+        ) from exc
+    g_new = p.gradient(sol.y)
+    if cfg.on_sphere:
+        g_new = mf.tangent_project(M, sol.y, g_new)
 
     return SearchState(
         x=sol.y,
@@ -190,7 +195,6 @@ def step(p, state: SearchState, cfg: SearchConfig) -> SearchState:
         eigenvalues=lam,
         outer_iter=state.outer_iter + 1,
         grad_norm=float(np.linalg.norm(g_new, ord=np.inf)),
-        last_step_norm=float(np.linalg.norm(sol.y - x)),
         last_step_inf=float(np.linalg.norm(sol.y - x, ord=np.inf)),
         last_inner_iters=sol.inner_iters,
     )
@@ -234,9 +238,6 @@ class ConvergenceRecord:
     def errors(self, include_start=True):
         rows = self.rows if include_start else self.rows[1:]
         return [r[2] for r in rows if r[2] is not None]
-
-    def grad_norms(self):
-        return [r[3] for r in self.rows]
 
     def to_csv(self, path, max_point_columns=8):
         d = len(self.rows[0][1]) if self.rows else 0
@@ -292,8 +293,9 @@ def run(p, x0, cfg: SearchConfig) -> ConvergenceRecord:
 
     Never raises on solver failures: the record's ``status``/``message``
     report them.  A step out of the region where the energy model is valid
-    ends the run as ``left_region``.  On convergence the terminal stationary point index is
-    verified with a dense eigensolve when the dimension allows.
+    ends the run as ``left_region``.  A converged run's terminal point is
+    classified by a dense eigensolve into ``terminal_index`` when the
+    dimension is at most ``INDEX_MAX_DIMENSION``; larger runs leave it None.
     """
     ref = None if cfg.reference is None else np.asarray(cfg.reference, float)
     record = ConvergenceRecord(reference=ref)
@@ -328,11 +330,11 @@ def run(p, x0, cfg: SearchConfig) -> ConvergenceRecord:
                 record.status = "converged"
                 break
 
-    if record.converged and cfg.verify_index and p.dimension <= cfg.verify_cap:
+    if record.converged and p.dimension <= INDEX_MAX_DIMENSION:
         if cfg.on_sphere:
             record.terminal_index = mf.constrained_index(p, mf.sphere(p.dimension), record.x)
         else:
-            record.terminal_index = stationary_index(p, record.x, cap=cfg.verify_cap)
+            record.terminal_index = stationary_index(p, record.x, cap=INDEX_MAX_DIMENSION)
     return record
 
 

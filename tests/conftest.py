@@ -25,21 +25,6 @@ def morse():
     return sk.make_builtin("morse_island")
 
 
-@pytest.fixture(scope="session")
-def morse_minimum(morse):
-    """Relaxed island minimum (one NCG minimization, reused by slow tests)."""
-    from saddlekit.subsolve import SubsolveConfig, minimize
-
-    x0 = morse.extras["coords"][~morse.extras["frozen"]].ravel().copy()
-    sol = minimize(morse, x0, SubsolveConfig(grad_tol=1e-11, max_inner_iters=6000))
-    assert sol.grad_norm < 1e-10
-    return sol.y
-
-
-def circle_point(center, radius, theta):
-    return np.asarray(center, float) + radius * np.array([np.cos(theta), np.sin(theta)])
-
-
 def make_index2_cubic(l1=-0.8, l2=-0.5, l3=2.0, c1=0.3, c2=0.4, c3=0.2, c4=0.25):
     """3-d non-quadratic surface with an exact index-2 point at the origin."""
 

@@ -2,8 +2,10 @@
 
 Each test exercises one acceptance criterion at its stated tolerance and
 prints a single PASS/FAIL line (run with ``pytest tests/test_acceptance.py
--v -s`` to see them).  Criteria 11 and 12 are the long-running ones and are
-marked ``slow``; the default run includes them.
+-v -s`` to see them).  Criteria 03, 04, 09, 11 and 12 assert on the runs of
+the ``bench`` presets themselves (``preset_runs``, ``fig2_grids``).  Criteria
+11 and 12 are the long-running ones and are marked ``slow``; the default run
+includes them.
 """
 
 import math
@@ -14,9 +16,13 @@ import pytest
 
 import saddlekit as sk
 from saddlekit import gad
-from saddlekit.harness import doa_scan, near_saddle_runs, run_invariant_checks
-from saddlekit.manifold import sphere
-from saddlekit.objective import COEFFICIENT_PRESETS
+from saddlekit.harness import (
+    fig2_grids,
+    near_saddle_runs,
+    preset_runs,
+    run_invariant_checks,
+    table5_config,
+)
 from saddlekit.search import estimate_order, estimate_order_pooled
 from saddlekit.subsolve import SubsolveConfig, sd_single_step
 
@@ -75,9 +81,7 @@ def test_criterion_02_three_hole_saddle_coordinates():
 
 
 def test_criterion_03_quadratic_rate_protocol():
-    presets = list(COEFFICIENT_PRESETS.values())
-    records = [rec for _, rec in near_saddle_runs(
-        seed=0, presets=presets, grad_tol=5e-14, subsolve_tol=1e-14, max_inner=500, max_outer=6)]
+    records = [rec for _, rec in preset_runs("table1")]
     worst_iter = 0
     for rec in records:
         errs = rec.errors(include_start=False)
@@ -90,23 +94,13 @@ def test_criterion_03_quadratic_rate_protocol():
 
 
 def test_criterion_04_escape_from_minimum():
-    rng = np.random.default_rng(7)
-    center = np.array([-1.0, 0.0])
+    # table2 measures each run's errors to the saddle it reached
     worst_iter, worst_tail = 0, np.inf
-    for draw in range(2):
-        for a, b in COEFFICIENT_PRESETS.values():
-            th = rng.uniform(0.0, 2.0 * math.pi)
-            x0 = center + 0.1 * np.array([math.cos(th), math.sin(th)])
-            cfg = sk.SearchConfig(alpha=a, beta=b, grad_tol=1e-12, eig_tol=1e-12,
-                                  subsolve=_exact_subsolve(box=0.25),
-                                  max_outer_iters=15)
-            rec = sk.run(THREE_HOLE, x0, cfg)
-            assert rec.converged and rec.terminal_index == 1
-            worst_iter = max(worst_iter, rec.iterations)
-            ref = min(SADDLES, key=lambda s: np.linalg.norm(rec.x - s))
-            errs = [float(np.linalg.norm(r[1] - ref)) for r in rec.rows]
-            usable = [e for e in errs if e > 1e-14]
-            worst_tail = min(worst_tail, estimate_order(usable[-3:]))
+    for _, rec in preset_runs("table2"):
+        assert rec.converged and rec.terminal_index == 1
+        worst_iter = max(worst_iter, rec.iterations)
+        usable = [e for e in rec.errors() if e > 1e-14]
+        worst_tail = min(worst_tail, estimate_order(usable[-3:]))
     ok = worst_iter <= 12 and worst_tail >= 1.7
     _report(4, ok, f"6 escapes converge in <= {worst_iter} iterations, "
                    f"slowest final-3 order {worst_tail:.2f}")
@@ -206,50 +200,33 @@ def test_criterion_08_flow_equivalence_and_rates():
                    f"vs search order {o_search:.2f}")
 
 
-def _sphere_runs(variant, x0, max_outer):
-    p = sk.make_builtin("sphere_quadratic")
-    cfg = sk.SearchConfig(on_sphere=True, sphere_variant=variant, grad_tol=5e-14,
-                          eig_tol=1e-12,
-                          subsolve=SubsolveConfig(grad_tol=1e-15, max_inner_iters=500),
-                          max_outer_iters=max_outer)
-    rec = sk.run(p, x0, cfg)
-    refs = [np.array([0.0, 1.0, 0.0]), np.array([0.0, -1.0, 0.0])]
-    ref = min(refs, key=lambda r: np.linalg.norm(rec.x - r))
-    errs = [float(np.linalg.norm(r[1] - ref)) for r in rec.rows]
-    return rec, errs
-
-
 def test_criterion_09_sphere_geodesic_variants():
-    rng = np.random.default_rng(4)
-    e1 = np.array([1.0, 0.0, 0.0])
+    # table5 measures errors to the nearer of +-e2, the start included
+    runs = dict(preset_runs("table5"))
     seqs = []
     worst_iter = 0
-    starts = []
     for variant in ("hyperplane", "ray"):
-        t = rng.standard_normal(3)
-        t -= (t @ e1) * e1
-        t /= np.linalg.norm(t)
-        x0 = math.cos(0.1) * e1 + math.sin(0.1) * t
-        starts.append(x0)
-        rec, errs = _sphere_runs(variant, x0, 8)
+        rec = runs[variant]
         assert rec.converged and rec.terminal_index == 1
-        body = errs[1:]
+        body = rec.errors()[1:]
         reach = next((i for i, e in enumerate(body, 1) if e < 1e-14), 99)
         worst_iter = max(worst_iter, reach)
-        seqs.append(errs)
+        seqs.append(rec.errors())
     order = estimate_order_pooled(seqs)
 
     # comparison variant: straight-line mode projection retracted to the
     # sphere.  It agrees with the geodesic projection to third order, so it
     # is locally quadratic, but the projection folds the great circle at
-    # pi/2 and it does not converge from the protocol start; see the
-    # build_sphere_naive docstring.
-    naive, _ = _sphere_runs("naive", starts[1], 40)
+    # pi/2 and it does not converge from the protocol start (here the ray
+    # run's); see the build_sphere_naive docstring.
+    sphere, naive_cfg = sk.make_builtin("sphere_quadratic"), table5_config("naive")
+    naive = sk.run(sphere, runs["ray"].rows[0][1], naive_cfg)
     naive_ok = naive.status == "max_iters" and not naive.converged
-    # local rate of the same variant started 0.3 rad from the saddle
+    # local rate of the same variant started 0.3 rad from the saddle e2
     sp = np.array([0.0, 1.0, 0.0])
     t = np.array([1.0, 0.0, 0.0])
-    local, local_errs = _sphere_runs("naive", math.cos(0.3) * sp + math.sin(0.3) * t, 40)
+    local = sk.run(sphere, math.cos(0.3) * sp + math.sin(0.3) * t, naive_cfg)
+    local_errs = [float(np.linalg.norm(r[1] - sp)) for r in local.rows]
     local_order = estimate_order([e for e in local_errs if e > 1e-14])
     local_ok = (local.converged and local.terminal_index == 1
                 and local_errs[-1] <= 1e-12 and local_order >= 1.7)
@@ -258,7 +235,7 @@ def test_criterion_09_sphere_geodesic_variants():
             f"geodesic runs reach <1e-14 by iteration {worst_iter}, pooled order "
             f"{order:.2f}; retraction comparison from the protocol start ends "
             f"'{naive.status}' after {naive.iterations} iterations, from 0.3 rad "
-            f"off the saddle converges to within {local_errs[-1]:.1e} of +-e2 at "
+            f"off the saddle converges to within {local_errs[-1]:.1e} of e2 at "
             f"order {local_order:.2f}")
 
 
@@ -290,33 +267,25 @@ def test_criterion_10_index_two():
 
 
 @pytest.mark.slow
-def test_criterion_11_morse_island(morse, morse_minimum):
+def test_criterion_11_morse_island(morse):
     t0 = time.perf_counter()
-    rng = np.random.default_rng(42)
-    x0 = morse_minimum + 0.05 * rng.standard_normal(morse_minimum.size)
-    cfg = sk.SearchConfig(alpha=0.0, beta=2.0, grad_tol=1e-10, eig_tol=1e-9,
-                          subsolve=SubsolveConfig(grad_tol=1e-12, max_inner_iters=2000,
-                                                  box_radius=0.2),
-                          max_outer_iters=25, verify_index=False)
-    rec = sk.run(morse, x0, cfg)
+    (_, rec), = preset_runs("table4")
     assert rec.converged
     force_inf = float(np.abs(morse.gradient(rec.x)).max())
-    index = sk.stationary_index(morse, rec.x)
     elapsed = time.perf_counter() - t0
-    ok = (rec.iterations <= 16 and force_inf <= 1e-9 and index == 1
+    ok = (rec.iterations <= 16 and force_inf <= 1e-9 and rec.terminal_index == 1
           and elapsed <= 600.0)
     _report(11, ok, f"converged in {rec.iterations} iterations, "
-                    f"terminal force {force_inf:.1e}, Hessian index {index}, "
+                    f"terminal force {force_inf:.1e}, Hessian index {rec.terminal_index}, "
                     f"{elapsed:.0f}s")
 
 
 @pytest.mark.slow
 def test_criterion_12_domain_of_attraction():
     t0 = time.perf_counter()
-    region = ((-1.5, 1.5), (-1.5, 2.0))
-    grid_imf = doa_scan("three_hole", "imf", region, 50)
-    grid_newton = doa_scan("three_hole", "newton", region, 50)
+    grids = fig2_grids()
     elapsed = time.perf_counter() - t0
+    grid_imf, grid_newton = grids["imf"], grids["newton"]
     connected = all(grid_imf.basin_is_connected(i) for i in range(3))
     more = grid_imf.labeled_cells() > grid_newton.labeled_cells()
     ok = more and connected and elapsed <= 120.0

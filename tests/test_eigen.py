@@ -128,3 +128,15 @@ def test_too_many_modes(double_well2):
 def test_stationary_index_classification(three_hole):
     for q, idx in three_hole.stationary_points:
         assert sk.stationary_index(three_hole, q) == idx
+
+
+
+def test_spanning_block_adds_no_roundoff_directions():
+    # in 2-d one mode and one guard vector span the space, so with finite-
+    # difference products the projected residuals are roundoff, not new
+    # directions (the Hessian's eigenvalues here are -2 and about 660)
+    p = sk.PotentialModel("logwell", 2, lambda x: np.log1p(x[0]) ** 2 - x[1] ** 2,
+                          lambda x: np.array([2.0 * np.log1p(x[0]) / (1.0 + x[0]), -2.0 * x[1]]))
+    res = sk.min_modes(p, np.array([-0.9, 0.5]), m=1, tol=1e-10)
+    assert res.iterations == 1 and not res.near_degenerate
+    assert res.eigenvalues[0] == pytest.approx(-2.0, abs=1e-6)

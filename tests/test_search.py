@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 
 import saddlekit as sk
-from saddlekit.errors import OrderEstimateError
-from saddlekit.search import estimate_order, estimate_order_pooled
+from saddlekit import eigen, manifold
+from saddlekit.errors import OrderEstimateError, SubsolveError
+from saddlekit.search import INDEX_MAX_DIMENSION, estimate_order, estimate_order_pooled
 from saddlekit.subsolve import SubsolveConfig
 
 from conftest import make_index2_cubic
@@ -92,10 +93,35 @@ def test_leaving_the_model_region_ends_run_as_left_region(morse):
     cfg = sk.SearchConfig(alpha=0.0, beta=2.0, grad_tol=1e-8, eig_tol=1e-6,
                           subsolve=SubsolveConfig(grad_tol=1e-8, max_inner_iters=50,
                                                   box_radius=4.0),
-                          max_outer_iters=3, verify_index=False)
+                          max_outer_iters=3)
     rec = sk.run(morse, x0, cfg)
     assert rec.status == "left_region"
     assert "validity radius" in rec.message
+
+
+def test_sphere_inner_solve_error_names_outer_iteration(sphere_quad, monkeypatch):
+    def fail(L, M, y0, cfg):
+        raise SubsolveError("no descent", trace=[y0])
+
+    monkeypatch.setattr(manifold, "solve_constrained_subproblem", fail)
+    cfg = sk.SearchConfig(on_sphere=True)
+    x0 = np.array([math.cos(0.1), math.sin(0.1), 0.0])
+    with pytest.raises(SubsolveError, match="^outer iteration 1: no descent$") as err:
+        sk.step(sphere_quad, sk.initial_state(sphere_quad, x0, cfg), cfg)
+    assert err.value.trace is not None
+    rec = sk.run(sphere_quad, x0, cfg)
+    assert (rec.status, rec.message) == ("failed", "outer iteration 1: no descent")
+
+
+def test_run_leaves_large_models_unclassified(monkeypatch):
+    # above the size limit a converged run assembles no dense Hessian and
+    # reports no terminal index
+    h = np.concatenate([[-1.0], np.linspace(1.0, 2.0, INDEX_MAX_DIMENSION)])
+    p = sk.PotentialModel("diagonal", h.size, lambda x: 0.5 * float(x @ (h * x)),
+                          lambda x: h * x, lambda x, u: h * u)
+    monkeypatch.setattr(eigen, "dense_hessian", lambda *a, **k: pytest.fail("dense Hessian"))
+    rec = sk.run(p, np.full(h.size, 0.01), sk.SearchConfig(subsolve=SubsolveConfig(grad_tol=1e-12)))
+    assert rec.converged and rec.terminal_index is None
 
 
 def test_divergence_status():
@@ -242,11 +268,10 @@ def test_config_validation():
 
 
 def test_eigensolver_column_drop_does_not_escape_run():
-    # no analytic Hessian: the finite-difference products are noisy enough
-    # that a periodic refresh of the eigensolver block drops a column; the
-    # solve goes on with the columns it holds instead of raising IndexError.
-    # How long the noisy solve takes depends on rounding: it converges here,
-    # and where it stalls instead the run must end "failed", not raise.
+    # no analytic Hessian: the finite-difference products are noisy.  A
+    # block refresh that dropped a column once raised IndexError out of the
+    # eigensolver on this start; the run must converge, or where rounding
+    # makes the noisy solve stall, end "failed" instead of raising.
     def energy(x):
         return math.log1p(x[0]) ** 2 - x[1] ** 2
 
