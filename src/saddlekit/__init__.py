@@ -38,13 +38,10 @@ from .objective import (
 )
 from .subsolve import InnerSolve, NewtonResult, SubsolveConfig, minimize, newton_stationary, sd_single_step
 from .manifold import (
-    ManifoldSpec,
     TangentProjector,
     constrained_index,
     solve_constrained_subproblem,
-    sphere,
     sphere_geodesic_project,
-    tangent_project,
     tangent_projector,
 )
 from .search import (

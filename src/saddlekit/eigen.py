@@ -22,6 +22,7 @@ __all__ = [
     "dense_hessian",
     "dense_eigensolve",
     "stationary_index",
+    "count_negative",
 ]
 
 
@@ -56,16 +57,6 @@ def _orthonormalize(M, drop_tol=1e-12):
     return U[:, s > drop_tol * s[0]]
 
 
-def _projector_basis(projector):
-    if projector is None:
-        return None
-    basis = getattr(projector, "basis", projector)
-    basis = np.asarray(basis, dtype=float)
-    if basis.ndim != 2:
-        raise ValueError("projector must provide an orthonormal basis matrix")
-    return basis
-
-
 def _orthonormalize_with_image(M, HM, drop_tol=1e-12):
     """Orthonormalize columns of M, applying the same combination to HM."""
     U, s, Vt = np.linalg.svd(M, full_matrices=False)
@@ -76,7 +67,7 @@ def _orthonormalize_with_image(M, HM, drop_tol=1e-12):
     return U[:, keep], HM @ T
 
 
-def min_modes(p, x, m=1, v0=None, tol=1e-10, projector=None, max_iters=1000,
+def min_modes(p, x, m=1, v0=None, tol=1e-10, basis=None, max_iters=1000,
               guard=None) -> MinModeResult:
     """Compute the ``m`` smallest eigenpairs of the Hessian of ``p`` at ``x``.
 
@@ -85,10 +76,9 @@ def min_modes(p, x, m=1, v0=None, tol=1e-10, projector=None, max_iters=1000,
     v0 : optional warm-start vector(s), shape (d,) or (d, m).
     tol : residual target; pair i is converged when
         ``||H v_i - lambda_i v_i|| <= tol * max(1, |lambda_i|)``.
-    projector : optional tangent restriction (object with an orthonormal
-        ``basis`` attribute, or the basis matrix itself).  Eigenpairs are
-        computed for the Hessian restricted to the basis span and returned
-        in ambient coordinates.
+    basis : optional tangent restriction, a (d, k) matrix with orthonormal
+        columns.  Eigenpairs are computed for the Hessian restricted to the
+        basis span and returned in ambient coordinates.
     guard : extra block vectors carried for convergence speed on clustered
         spectra (default 2 where the dimension allows).
 
@@ -101,13 +91,13 @@ def min_modes(p, x, m=1, v0=None, tol=1e-10, projector=None, max_iters=1000,
     d = p.dimension
     if tol <= 0:
         raise ValueError("tol must be positive")
-    basis = _projector_basis(projector)
     if basis is None:
         n = d
         apply_h = lambda U: np.column_stack([p.hessian_vec(x, U[:, k]) for k in range(U.shape[1])])
     else:
-        if basis.shape[0] != d:
-            raise ValueError(f"projector basis has {basis.shape[0]} rows, expected {d}")
+        basis = np.asarray(basis, dtype=float)
+        if basis.ndim != 2 or basis.shape[0] != d:
+            raise ValueError(f"basis must be a matrix with {d} rows, got shape {basis.shape}")
         n = basis.shape[1]
 
         def apply_h(U):
@@ -262,5 +252,10 @@ def dense_eigensolve(p, x, cap=1000) -> Spectrum:
 def stationary_index(p, x, cap=1000, rel_tol=1e-8) -> int:
     """Number of negative Hessian eigenvalues at ``x`` (0 = minimum)."""
     evals, _ = dense_eigensolve(p, x, cap=cap)
+    return count_negative(evals, rel_tol)
+
+
+def count_negative(evals, rel_tol=1e-8) -> int:
+    """Number of eigenvalues below ``-rel_tol * max(1, max |lambda|)``."""
     thresh = rel_tol * max(1.0, float(np.abs(evals).max()))
     return int(np.sum(evals < -thresh))

@@ -34,7 +34,7 @@ class ConvexRegionError(RuntimeError):
 
 
 class OffManifoldError(ValueError):
-    """Point violates the manifold constraints beyond tolerance."""
+    """Point is off the unit sphere beyond tolerance."""
 
 
 class OrderEstimateError(ValueError):

@@ -3,8 +3,8 @@
 The position descends the energy with the force component along ``v``
 reversed; ``v`` relaxes toward the smallest-eigenvalue direction of the
 Hessian.  Stable equilibria are index-1 saddles.  Only explicit Euler
-stepping is provided, in flat space and projected onto a constraint
-manifold, plus an eigenvector-following variant where ``v`` is replaced by
+stepping is provided, in flat space and projected onto the unit sphere,
+plus an eigenvector-following variant where ``v`` is replaced by
 the exact min-mode every step.
 """
 
@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .eigen import min_modes
-from .manifold import tangent_projector
+from . import manifold as mf
 
 __all__ = ["GADState", "GADTrajectory", "euler_step", "euler_step_manifold", "run"]
 
@@ -64,17 +64,17 @@ def euler_step(p, s: GADState, dt, reversal=2.0, exact_mode=False) -> GADState:
     return GADState(x=x_new, v=v_new, t=s.t + dt, gamma=s.gamma)
 
 
-def euler_step_manifold(p, M, s: GADState, dt, reversal=2.0) -> GADState:
-    """Euler step of the flow projected onto the tangent spaces of ``M``.
+def euler_step_manifold(p, s: GADState, dt, reversal=2.0) -> GADState:
+    """Euler step of the flow projected onto the tangent spaces of the unit sphere.
 
     The position force is tangent-projected and the new point retracted onto
-    the manifold; the direction update uses the tangent-projected Hessian
+    the sphere; the direction update uses the tangent-projected Hessian
     action with a multiplier preserving unit length, then is re-projected
     tangent at the new point.
     """
     if dt <= 0:
         raise ValueError("dt must be positive")
-    proj = tangent_projector(M, s.x)
+    proj = mf.tangent_projector(s.x)
     v = proj(s.v)
     n = np.linalg.norm(v)
     if n == 0.0:
@@ -82,12 +82,12 @@ def euler_step_manifold(p, M, s: GADState, dt, reversal=2.0) -> GADState:
     v = v / n
     g = p.gradient(s.x)
     force = proj(-g + reversal * float(g @ v) * v)
-    x_new = M.retraction(s.x, dt * force)
+    x_new = mf.retract(s.x, dt * force)
 
     Hv = proj(p.hessian_vec(s.x, v))
     eta = float(Hv @ v)
     v_new = v + (dt / s.gamma) * (-Hv + eta * v)
-    v_new = tangent_projector(M, x_new)(v_new)
+    v_new = mf.tangent_projector(x_new)(v_new)
     n = np.linalg.norm(v_new)
     if n == 0.0:
         raise ValueError("direction vanished after projection")
@@ -135,19 +135,20 @@ class GADTrajectory:
 
 
 def run(p, s0: GADState, dt, max_steps=10000, tol=1e-8, reversal=2.0,
-        manifold=None, exact_mode=False, record_every=1) -> GADTrajectory:
+        on_sphere=False, exact_mode=False, record_every=1) -> GADTrajectory:
     """Integrate until the equilibrium conditions hold or the budget is spent.
 
     Terminal test: gradient norm and the eigen-residual ||Hv - <v,Hv> v||
-    both at or below ``tol`` (tangent-projected quantities on a manifold).
+    both at or below ``tol`` (tangent-projected quantities on the unit
+    sphere when ``on_sphere``).
     """
     traj = GADTrajectory()
     s = s0
-    if manifold is not None:
-        manifold.check_feasible(s.x)
+    if on_sphere:
+        mf.check_on_sphere(s.x)
     for k in range(max_steps + 1):
-        if manifold is not None:
-            proj = tangent_projector(manifold, s.x)
+        if on_sphere:
+            proj = mf.tangent_projector(s.x)
             g = proj(p.gradient(s.x))
             v = proj(s.v)
             v = v / np.linalg.norm(v)
@@ -168,8 +169,8 @@ def run(p, s0: GADState, dt, max_steps=10000, tol=1e-8, reversal=2.0,
             return traj
         if k == max_steps:
             break
-        if manifold is not None:
-            s = euler_step_manifold(p, manifold, s, dt, reversal=reversal)
+        if on_sphere:
+            s = euler_step_manifold(p, s, dt, reversal=reversal)
         else:
             s = euler_step(p, s, dt, reversal=reversal, exact_mode=exact_mode)
     traj.steps = max_steps

@@ -1,5 +1,8 @@
-"""Equality-constraint manifolds: tangent projection, geodesic projection on
-the unit sphere, and retraction-based constrained inner solves."""
+"""The unit sphere: tangent projection, geodesic projection, retraction-based
+constrained inner solves and intrinsic index classification.
+
+Every function takes the point alone; the dimension is ``x.size``.
+"""
 
 import math
 import warnings
@@ -7,14 +10,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .eigen import count_negative
 from .errors import OffManifoldError, SubsolveError
 from .subsolve import InnerSolve, SubsolveConfig, descend
 
 __all__ = [
-    "ManifoldSpec",
     "TangentProjector",
-    "sphere",
-    "tangent_project",
+    "check_on_sphere",
+    "retract",
     "tangent_projector",
     "sphere_geodesic_project",
     "great_circle_angle",
@@ -25,94 +28,48 @@ __all__ = [
 _FEAS_TOL = 1e-8
 
 
-@dataclass(frozen=True, eq=False)
-class ManifoldSpec:
-    """Manifold cut out by equality constraints c_i(x) = 0 in R^d.
-
-    ``constraints`` and ``constraint_grads`` are parallel tuples of callables;
-    ``retraction`` maps (point, tangent step) back onto the manifold.
-    ``constraint_hessian_vecs`` (optional, one (x, u) -> vector per
-    constraint) enable intrinsic second-order classification at critical
-    points.
-    """
-
-    name: str
-    ambient_dim: int
-    constraints: tuple
-    constraint_grads: tuple
-    retraction: callable
-    constraint_hessian_vecs: tuple = None
-
-    def residuals(self, x):
-        return np.array([c(x) for c in self.constraints], dtype=float)
-
-    def check_feasible(self, x, tol=_FEAS_TOL):
-        r = self.residuals(x)
-        if np.any(np.abs(r) > tol):
-            raise OffManifoldError(
-                f"point violates {self.name} constraints: residuals {r}"
-            )
+def check_on_sphere(x):
+    """Raise :class:`OffManifoldError` unless ``0.5 |x.x - 1| <= 1e-8``."""
+    x = np.asarray(x, dtype=float)
+    r = 0.5 * (float(x @ x) - 1.0)
+    if abs(r) > _FEAS_TOL:
+        raise OffManifoldError(
+            f"point is off the unit sphere{x.size - 1}: 0.5 (x.x - 1) = {r!r}"
+        )
 
 
-def sphere(dim=3) -> ManifoldSpec:
-    """Unit sphere |x| = 1 in R^dim with metric-projection retraction."""
-
-    def c(x):
-        return 0.5 * (float(x @ x) - 1.0)
-
-    def grad_c(x):
-        return np.asarray(x, dtype=float)
-
-    def retract(x, step):
-        y = np.asarray(x, dtype=float) + np.asarray(step, dtype=float)
-        n = np.linalg.norm(y)
-        if n == 0.0:
-            raise SubsolveError("retraction of a vanishing point is undefined")
-        return y / n
-
-    return ManifoldSpec(
-        name=f"sphere{dim - 1}",
-        ambient_dim=dim,
-        constraints=(c,),
-        constraint_grads=(grad_c,),
-        retraction=retract,
-        constraint_hessian_vecs=(lambda x, u: np.asarray(u, dtype=float),),
-    )
+def retract(x, step):
+    """Metric-projection retraction: ``(x + step) / |x + step|``."""
+    y = np.asarray(x, dtype=float) + np.asarray(step, dtype=float)
+    n = np.linalg.norm(y)
+    if n == 0.0:
+        raise SubsolveError("retraction of a vanishing point is undefined")
+    return y / n
 
 
 @dataclass(frozen=True, eq=False)
 class TangentProjector:
-    """Orthogonal projector onto a tangent space, with an explicit basis."""
+    """Orthogonal projector onto the tangent space at a point of the sphere."""
 
-    basis: np.ndarray  # (d, d-p), orthonormal columns spanning the tangent space
-    normals: np.ndarray  # (d, p), orthonormal columns spanning the normal space
+    normal: np.ndarray  # (d,), unit normal
+    basis: np.ndarray  # (d, d-1), orthonormal columns spanning the tangent space
 
     def __call__(self, u):
         u = np.asarray(u, dtype=float)
-        return u - self.normals @ (self.normals.T @ u)
+        return u - self.normal * (self.normal @ u)
 
 
-def tangent_projector(M: ManifoldSpec, x) -> TangentProjector:
-    """Build the tangent projector at a feasible point.
+def tangent_projector(x) -> TangentProjector:
+    """Build the tangent projector at a point of the unit sphere.
 
-    Raises on rank-deficient constraint gradients (tolerance 1e-10 relative
-    to the largest singular value).
+    The normal and basis are the left singular vectors of ``x`` as a
+    column.  The normal is not ``x / |x|``: the two differ in the last bits,
+    and the sphere searches' iteration counts depend on those bits.
     """
     x = np.asarray(x, dtype=float)
-    M.check_feasible(x)
-    N = np.column_stack([g(x) for g in M.constraint_grads])
-    U, s, _ = np.linalg.svd(N, full_matrices=True)
-    p = N.shape[1]
-    if s.size < p or s[p - 1] <= 1e-10 * s[0]:
-        raise ValueError(
-            f"constraint gradients are rank deficient at x (singular values {s})"
-        )
-    return TangentProjector(basis=U[:, p:], normals=U[:, :p])
-
-
-def tangent_project(M: ManifoldSpec, x, u) -> np.ndarray:
-    """Remove the normal-space component of ``u`` at the feasible point ``x``."""
-    return tangent_projector(M, x)(np.asarray(u, dtype=float))
+    check_on_sphere(x)
+    U = np.linalg.svd(x[:, None])[0]
+    return TangentProjector(normal=U[:, 0], basis=U[:, 1:])
 
 
 def sphere_geodesic_project(x, v, y):
@@ -157,75 +114,61 @@ def great_circle_angle(x, t, y):
 
 
 class ManifoldGeometry:
-    """Rules of the descent loop on ``M``.
+    """Rules of the descent loop on the unit sphere.
 
     Gradients and carried directions are projected onto the tangent space
     at each accepted point (one projector per point), trial steps are
-    retracted onto ``M``, the Armijo slope is ``t g.d``, the stall test uses
-    the Euclidean norm, and conjugacy never restarts on a schedule.
+    retracted onto the sphere, the Armijo slope is ``t g.d``, the stall test
+    uses the Euclidean norm, and conjugacy never restarts on a schedule.
     """
 
     norm_ord = None
     restart_every = math.inf
     clipped = False
 
-    def __init__(self, M: ManifoldSpec, y0):
-        M.check_feasible(y0)
-        self.M = M
-        self.no_descent_hint = f"constrained to {M.name}"
+    def __init__(self, y0):
+        check_on_sphere(y0)
+        self.no_descent_hint = f"constrained to sphere{y0.size - 1}"
 
     def projector(self, y):
-        return tangent_projector(self.M, y)
+        return tangent_projector(y)
 
     def precondition(self, g):
         return g
 
     def retract(self, y, step):
-        return self.M.retraction(y, step)
+        return retract(y, step)
 
     def armijo_slope(self, g, y, y_trial, t, gd):
         return t * gd
 
 
-def solve_constrained_subproblem(L, M: ManifoldSpec, y0, cfg: SubsolveConfig) -> InnerSolve:
-    """Minimize ``L`` over ``M`` by projected descent with retraction.
+def solve_constrained_subproblem(L, y0, cfg: SubsolveConfig) -> InnerSolve:
+    """Minimize ``L`` over the unit sphere by projected descent with retraction.
 
     Tangent-projected gradients drive a Polak-Ribiere+ conjugate direction
     (transported by projection) or plain steepest descent; trial points are
-    retracted onto the manifold before evaluation.  Convergence is measured
+    retracted onto the sphere before evaluation.  Convergence is measured
     on the tangent gradient norm.
     """
     y0 = np.asarray(y0, dtype=float)
-    return descend(L, y0, cfg, ManifoldGeometry(M, y0))
+    return descend(L, y0, cfg, ManifoldGeometry(y0))
 
 
-def constrained_index(p, M: ManifoldSpec, x) -> int:
-    """Intrinsic Hessian index of a constrained critical point at ``x``.
+def constrained_index(p, x) -> int:
+    """Intrinsic Hessian index of a critical point of ``p`` on the sphere.
 
-    The normal component of the energy gradient determines Lagrange
-    multipliers; their constraint curvature is subtracted from the energy
-    Hessian before restriction to the tangent basis.  Without constraint
-    Hessians the bare projected energy Hessian is used (correct only for
-    affine constraints).
+    The intrinsic Hessian is ``H - (x.grad V) I`` restricted to the tangent
+    space: the multiplier ``x.grad V`` times the sphere's curvature is
+    subtracted from the energy Hessian before restriction to the tangent
+    basis.
     """
     x = np.asarray(x, dtype=float)
-    proj = tangent_projector(M, x)
-    B = proj.basis
-    N = np.column_stack([g(x) for g in M.constraint_grads])
-    mult, *_ = np.linalg.lstsq(N, p.gradient(x), rcond=None)
-
-    def hvec(u):
-        out = p.hessian_vec(x, u)
-        if M.constraint_hessian_vecs is not None:
-            for mu, chv in zip(mult, M.constraint_hessian_vecs):
-                out = out - mu * chv(x, u)
-        return out
-
+    B = tangent_projector(x).basis
+    mult = float(x @ p.gradient(x))
     k = B.shape[1]
     Hk = np.empty((k, k))
     for i in range(k):
-        Hk[:, i] = B.T @ hvec(B[:, i])
+        Hk[:, i] = B.T @ (p.hessian_vec(x, B[:, i]) - mult * B[:, i])
     Hk = 0.5 * (Hk + Hk.T)
-    evals = np.linalg.eigvalsh(Hk)
-    thresh = 1e-8 * max(1.0, float(np.abs(evals).max()))
-    return int(np.sum(evals < -thresh))
+    return count_negative(np.linalg.eigvalsh(Hk))

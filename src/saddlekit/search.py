@@ -66,7 +66,7 @@ class SearchConfig:
     The reversal strength alpha + beta must exceed 1 (index-1); index-m runs
     take subset-keyed coefficient dicts instead (see ``build_index_m``).
     ``grad_tol`` is on the infinity norm of the energy gradient (tangent
-    gradient on a manifold).  ``reference`` enables error reporting against a
+    gradient on the sphere).  ``reference`` enables error reporting against a
     known saddle.  ``on_sphere`` switches to the great-circle construction
     with ``sphere_variant`` in {"hyperplane", "ray", "mix", "naive"}.
     """
@@ -109,8 +109,7 @@ def initial_state(p, x0, cfg: SearchConfig = None) -> SearchState:
     x0 = np.asarray(x0, dtype=float).copy()
     g = p.gradient(x0)
     if cfg is not None and cfg.on_sphere:
-        M = mf.sphere(p.dimension)
-        g = mf.tangent_project(M, x0, g)
+        g = mf.tangent_projector(x0)(g)
     return SearchState(x=x0, grad_norm=float(np.linalg.norm(g, ord=np.inf)))
 
 
@@ -136,9 +135,8 @@ def step(p, state: SearchState, cfg: SearchConfig) -> SearchState:
     x = state.x
     try:
         if cfg.on_sphere:
-            M = mf.sphere(p.dimension)
-            proj = mf.tangent_projector(M, x)
-            modes = min_modes(p, x, m=1, v0=state.modes, tol=cfg.eig_tol, projector=proj)
+            basis = mf.tangent_projector(x).basis
+            modes = min_modes(p, x, m=1, v0=state.modes, tol=cfg.eig_tol, basis=basis)
         else:
             modes = min_modes(p, x, m=cfg.index, v0=state.modes, tol=cfg.eig_tol)
     except EigensolveError as exc:
@@ -178,7 +176,7 @@ def step(p, state: SearchState, cfg: SearchConfig) -> SearchState:
             sub = replace(sub, max_inner_iters=cfg.convex_inner_cap)
     try:
         if cfg.on_sphere:
-            sol = mf.solve_constrained_subproblem(L, M, x, cfg.subsolve)
+            sol = mf.solve_constrained_subproblem(L, x, cfg.subsolve)
         else:
             sol = minimize(L, x, sub)
     except SubsolveError as exc:
@@ -187,7 +185,7 @@ def step(p, state: SearchState, cfg: SearchConfig) -> SearchState:
         ) from exc
     g_new = p.gradient(sol.y)
     if cfg.on_sphere:
-        g_new = mf.tangent_project(M, sol.y, g_new)
+        g_new = mf.tangent_projector(sol.y)(g_new)
 
     return SearchState(
         x=sol.y,
@@ -292,7 +290,8 @@ def run(p, x0, cfg: SearchConfig) -> ConvergenceRecord:
     """Iterate ``step`` from ``x0`` until tolerance, budget, or failure.
 
     Never raises on solver failures: the record's ``status``/``message``
-    report them.  A step out of the region where the energy model is valid
+    report them, a non-finite gradient at the start or after a step
+    included.  A step out of the region where the energy model is valid
     ends the run as ``left_region``.  A converged run's terminal point is
     classified by a dense eigensolve into ``terminal_index`` when the
     dimension is at most ``INDEX_MAX_DIMENSION``; larger runs leave it None.
@@ -302,7 +301,10 @@ def run(p, x0, cfg: SearchConfig) -> ConvergenceRecord:
     state = initial_state(p, x0, cfg)
     record.add(0, state.x, _error_to(ref, state.x), state.grad_norm, None, 0)
 
-    if state.grad_norm <= cfg.grad_tol:
+    if not np.isfinite(state.grad_norm):
+        record.status = "failed"
+        record.message = "iteration 0: non-finite gradient at the starting point"
+    elif state.grad_norm <= cfg.grad_tol:
         # started on a stationary point
         record.status = "converged"
     else:
@@ -318,6 +320,12 @@ def run(p, x0, cfg: SearchConfig) -> ConvergenceRecord:
                 state.outer_iter, state.x, _error_to(ref, state.x),
                 state.grad_norm, lam1, state.last_inner_iters,
             )
+            if not np.isfinite(state.grad_norm):
+                record.status = "failed"
+                record.message = (
+                    f"outer iteration {state.outer_iter}: non-finite gradient at the new point"
+                )
+                break
             if cfg.domain is not None:
                 lo, hi = (np.asarray(b, float) for b in cfg.domain)
                 if np.any(state.x < lo) or np.any(state.x > hi):
@@ -332,7 +340,7 @@ def run(p, x0, cfg: SearchConfig) -> ConvergenceRecord:
 
     if record.converged and p.dimension <= INDEX_MAX_DIMENSION:
         if cfg.on_sphere:
-            record.terminal_index = mf.constrained_index(p, mf.sphere(p.dimension), record.x)
+            record.terminal_index = mf.constrained_index(p, record.x)
         else:
             record.terminal_index = stationary_index(p, record.x, cap=INDEX_MAX_DIMENSION)
     return record

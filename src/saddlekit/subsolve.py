@@ -3,7 +3,7 @@
 ``descend`` is the one descent loop: steepest descent or Polak-Ribiere+
 nonlinear CG with a curvature-informed line search safeguarded by Armijo
 backtracking.  A geometry object holds the rules that differ between flat
-space and a constraint manifold (:class:`saddlekit.manifold.ManifoldGeometry`).
+space and the unit sphere (:class:`saddlekit.manifold.ManifoldGeometry`).
 ``minimize`` runs the loop under :class:`FlatGeometry`, whose optional
 infinity-norm trust box around the starting point keeps the solve stable
 when the objective is unbounded below (anchor in a convex region of the

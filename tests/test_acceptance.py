@@ -74,6 +74,7 @@ def test_criterion_02_three_hole_saddle_coordinates():
                               subsolve=_exact_subsolve(box=0.25), max_outer_iters=10)
         rec = sk.run(THREE_HOLE, x0, cfg)
         assert rec.converged
+        assert rec.terminal_index == 1
         worst = max(worst, float(np.linalg.norm(rec.x - ref)))
     elapsed = time.perf_counter() - t0
     _report(2, worst <= 5e-5 and elapsed < 1.0,

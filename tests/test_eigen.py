@@ -3,7 +3,7 @@ import pytest
 
 import saddlekit as sk
 from saddlekit.errors import EigensolveError
-from saddlekit.manifold import sphere, tangent_projector
+from saddlekit.manifold import tangent_projector
 
 
 def test_double_well_min_mode_at_saddle(double_well2):
@@ -74,9 +74,8 @@ def test_warm_start_seeds_iteration(three_hole):
 
 def test_projected_min_mode_matches_reduced_oracle(sphere_quad):
     x = np.array([0.0, 1.0, 0.0])
-    M = sphere(3)
-    proj = tangent_projector(M, x)
-    res = sk.min_modes(sphere_quad, x, m=1, tol=1e-12, projector=proj)
+    proj = tangent_projector(x)
+    res = sk.min_modes(sphere_quad, x, m=1, tol=1e-12, basis=proj.basis)
     # reduced 2x2 oracle
     B = proj.basis
     Hk = np.array([[B[:, i] @ sphere_quad.hessian_vec(x, B[:, j]) for j in range(2)]
@@ -93,8 +92,8 @@ def test_projected_min_mode_random_tangent_plane(sphere_quad):
     rng = np.random.default_rng(4)
     x = rng.standard_normal(3)
     x /= np.linalg.norm(x)
-    proj = tangent_projector(sphere(3), x)
-    res = sk.min_modes(sphere_quad, x, m=2, tol=1e-12, projector=proj)
+    proj = tangent_projector(x)
+    res = sk.min_modes(sphere_quad, x, m=2, tol=1e-12, basis=proj.basis)
     B = proj.basis
     Hk = B.T @ np.column_stack([sphere_quad.hessian_vec(x, B[:, j]) for j in range(2)])
     evals = np.linalg.eigvalsh(0.5 * (Hk + Hk.T))

@@ -3,7 +3,6 @@ import pytest
 
 import saddlekit as sk
 from saddlekit import gad
-from saddlekit.manifold import sphere
 from saddlekit.search import estimate_order
 from saddlekit.subsolve import sd_single_step
 
@@ -91,38 +90,35 @@ def test_trajectory_csv(tmp_path, double_well2):
     assert len(lines) == len(traj.times) + 1
 
 
-# -- manifold variant ---------------------------------------------------------
+# -- sphere variant -----------------------------------------------------------
 
 
 def test_manifold_equilibrium_fixed(sphere_quad):
-    M = sphere(3)
     s = gad.GADState(x=np.array([0.0, 1.0, 0.0]), v=np.array([1.0, 0.0, 0.0]))
-    s2 = gad.euler_step_manifold(sphere_quad, M, s, dt=0.01)
+    s2 = gad.euler_step_manifold(sphere_quad, s, dt=0.01)
     assert np.allclose(s2.x, s.x, atol=1e-14)
     assert np.allclose(s2.v, s.v, atol=1e-14)
 
 
 def test_manifold_converges_to_constrained_saddle(sphere_quad):
-    M = sphere(3)
     rng = np.random.default_rng(7)
     x0 = np.array([1.0, 0.02, 0.03])
     x0 /= np.linalg.norm(x0)
     v0 = rng.standard_normal(3)
     s0 = gad.GADState(x=x0, v=v0)
-    traj = gad.run(sphere_quad, s0, dt=0.02, max_steps=40000, tol=1e-9, manifold=M)
+    traj = gad.run(sphere_quad, s0, dt=0.02, max_steps=40000, tol=1e-9, on_sphere=True)
     assert traj.status == "converged"
     assert min(np.linalg.norm(traj.x - np.array([0.0, 1.0, 0.0])),
                np.linalg.norm(traj.x + np.array([0.0, 1.0, 0.0]))) < 1e-6
 
 
 def test_manifold_constraint_drift(sphere_quad):
-    M = sphere(3)
     rng = np.random.default_rng(8)
     x = rng.standard_normal(3)
     x /= np.linalg.norm(x)
     s = gad.GADState(x=x, v=rng.standard_normal(3))
     worst = 0.0
     for _ in range(10000):
-        s = gad.euler_step_manifold(sphere_quad, M, s, dt=0.005)
+        s = gad.euler_step_manifold(sphere_quad, s, dt=0.005)
         worst = max(worst, abs(np.linalg.norm(s.x) - 1.0))
     assert worst <= 1e-12

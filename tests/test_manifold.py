@@ -7,10 +7,9 @@ import saddlekit as sk
 from saddlekit.errors import OffManifoldError
 from saddlekit.manifold import (
     constrained_index,
+    retract,
     solve_constrained_subproblem,
-    sphere,
     sphere_geodesic_project,
-    tangent_project,
     tangent_projector,
 )
 from saddlekit.objective import sphere_frame
@@ -18,33 +17,31 @@ from saddlekit.subsolve import SubsolveConfig
 
 
 def test_tangent_project_basic():
-    M = sphere(3)
-    out = tangent_project(M, np.array([1.0, 0.0, 0.0]), np.array([1.0, 1.0, 0.0]))
+    out = tangent_projector(np.array([1.0, 0.0, 0.0]))(np.array([1.0, 1.0, 0.0]))
     assert np.allclose(out, [0.0, 1.0, 0.0], atol=1e-14)
 
 
 def test_tangent_project_properties():
-    M = sphere(3)
     rng = np.random.default_rng(0)
-    for _ in range(5):
-        x = rng.standard_normal(3)
-        x /= np.linalg.norm(x)
-        proj = tangent_projector(M, x)
-        u = rng.standard_normal(3)
-        pu = proj(u)
-        for g in M.constraint_grads:
-            assert abs(g(x) @ pu) < 1e-12
-        assert np.linalg.norm(proj(pu) - pu) < 1e-12
-        # basis columns orthonormal and tangent
-        B = proj.basis
-        assert np.allclose(B.T @ B, np.eye(B.shape[1]), atol=1e-12)
-        assert np.linalg.norm(x @ B) < 1e-12
+    for d in range(3, 7):
+        for _ in range(5):
+            x = rng.standard_normal(d)
+            x /= np.linalg.norm(x)
+            proj = tangent_projector(x)
+            u = rng.standard_normal(d)
+            pu = proj(u)
+            assert abs(x @ pu) < 1e-12
+            assert np.linalg.norm(proj(pu) - pu) < 1e-12
+            # basis columns orthonormal and tangent
+            B = proj.basis
+            assert B.shape == (d, d - 1)
+            assert np.allclose(B.T @ B, np.eye(d - 1), atol=1e-12)
+            assert np.linalg.norm(x @ B) < 1e-12
 
 
 def test_tangent_project_requires_feasible():
-    M = sphere(3)
     with pytest.raises(OffManifoldError):
-        tangent_project(M, np.array([1.2, 0.0, 0.0]), np.ones(3))
+        tangent_projector(np.array([1.2, 0.0, 0.0]))
 
 
 def test_geodesic_project_endpoints():
@@ -94,11 +91,10 @@ def test_geodesic_project_validation():
 
 def test_constrained_solve_fixed_point(sphere_quad):
     sp = np.array([0.0, 1.0, 0.0])
-    M = sphere(3)
-    proj = tangent_projector(M, sp)
-    modes = sk.min_modes(sphere_quad, sp, m=1, tol=1e-13, projector=proj)
+    basis = tangent_projector(sp).basis
+    modes = sk.min_modes(sphere_quad, sp, m=1, tol=1e-13, basis=basis)
     L = sk.build_manifold(sphere_quad, sphere_frame(sp, modes.eigenvectors[:, 0]), "ray")
-    sol = solve_constrained_subproblem(L, M, sp, SubsolveConfig(grad_tol=1e-13, max_inner_iters=100))
+    sol = solve_constrained_subproblem(L, sp, SubsolveConfig(grad_tol=1e-13, max_inner_iters=100))
     assert np.linalg.norm(sol.y - sp) < 1e-12
 
 
@@ -106,21 +102,34 @@ def test_constrained_solve_feasibility_and_tolerance(sphere_quad):
     rng = np.random.default_rng(2)
     x = rng.standard_normal(3)
     x /= np.linalg.norm(x)
-    proj = tangent_projector(sphere(3), x)
-    modes = sk.min_modes(sphere_quad, x, m=1, tol=1e-12, projector=proj)
+    basis = tangent_projector(x).basis
+    modes = sk.min_modes(sphere_quad, x, m=1, tol=1e-12, basis=basis)
     L = sk.build_manifold(sphere_quad, sphere_frame(x, modes.eigenvectors[:, 0]), "mix")
-    sol = solve_constrained_subproblem(L, sphere(3), x,
-                                       SubsolveConfig(grad_tol=1e-12, max_inner_iters=400))
+    sol = solve_constrained_subproblem(L, x, SubsolveConfig(grad_tol=1e-12, max_inner_iters=400))
     assert abs(np.linalg.norm(sol.y) - 1.0) < 1e-12
     assert sol.grad_norm <= 1e-12
 
 
 def test_constrained_index_classification(sphere_quad):
-    M = sphere(3)
-    assert constrained_index(sphere_quad, M, np.array([0.0, 1.0, 0.0])) == 1
-    assert constrained_index(sphere_quad, M, np.array([0.0, -1.0, 0.0])) == 1
-    assert constrained_index(sphere_quad, M, np.array([1.0, 0.0, 0.0])) == 0
-    assert constrained_index(sphere_quad, M, np.array([0.0, 0.0, 1.0])) == 2
+    assert constrained_index(sphere_quad, np.array([0.0, 1.0, 0.0])) == 1
+    assert constrained_index(sphere_quad, np.array([0.0, -1.0, 0.0])) == 1
+    assert constrained_index(sphere_quad, np.array([1.0, 0.0, 0.0])) == 0
+    assert constrained_index(sphere_quad, np.array([0.0, 0.0, 1.0])) == 2
+
+
+@pytest.mark.parametrize("d", [3, 4, 5, 6])
+def test_constrained_index_of_rotated_quadratic(d):
+    # x^T A x / 2 with A = Q diag(a) Q^T is critical on the sphere at +-Q e_k,
+    # where the multiplier x.grad V = a_k and the intrinsic Hessian has
+    # eigenvalues a_j - a_k (j != k); off the coordinate axes this checks
+    # the multiplier term, not just the projected Hessian
+    rng = np.random.default_rng(10 + d)
+    Q, _ = np.linalg.qr(rng.standard_normal((d, d)))
+    a = rng.permutation(np.linspace(-2.0, 3.0, d))
+    p = sk.from_quadratic(Q @ np.diag(a) @ Q.T)
+    for k in range(d):
+        for sign in (1.0, -1.0):
+            assert constrained_index(p, sign * Q[:, k]) == int(np.sum(a < a[k]))
 
 
 def test_sphere_search_protocol(sphere_quad):
@@ -147,10 +156,9 @@ def test_sphere_search_protocol(sphere_quad):
 
 
 def test_retraction_never_leaves_sphere():
-    M = sphere(3)
     rng = np.random.default_rng(5)
     x = np.array([1.0, 0.0, 0.0])
     for _ in range(1000):
         step = 0.3 * rng.standard_normal(3)
-        x = M.retraction(x, step - (step @ x) * x)
+        x = retract(x, step - (step @ x) * x)
         assert abs(np.linalg.norm(x) - 1.0) <= 1e-12

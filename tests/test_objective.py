@@ -310,21 +310,20 @@ def test_sphere_off_manifold_rejected(sphere_quad):
 
 
 def test_sphere_saddle_is_constrained_minimizer(sphere_quad):
-    from saddlekit.manifold import sphere, solve_constrained_subproblem, tangent_projector
+    from saddlekit.manifold import retract, solve_constrained_subproblem, tangent_projector
     from saddlekit.subsolve import SubsolveConfig
 
     sp = np.array([0.0, 1.0, 0.0])
-    M = sphere(3)
-    proj = tangent_projector(M, sp)
-    modes = sk.min_modes(sphere_quad, sp, m=1, tol=1e-13, projector=proj)
+    proj = tangent_projector(sp)
+    modes = sk.min_modes(sphere_quad, sp, m=1, tol=1e-13, basis=proj.basis)
     for variant in ("hyperplane", "ray", "mix"):
         f = sphere_frame(sp, modes.eigenvectors[:, 0])
         L = sk.build_manifold(sphere_quad, f, variant)
         # the anchor is a constrained stationary point of the objective
         assert np.linalg.norm(proj(L.gradient(sp))) < 1e-12
         # and a strict local minimizer: solving from a tangent offset returns
-        start = M.retraction(sp, 0.05 * proj.basis[:, 0])
-        sol = solve_constrained_subproblem(L, M, start, SubsolveConfig(grad_tol=1e-13, max_inner_iters=300))
+        start = retract(sp, 0.05 * proj.basis[:, 0])
+        sol = solve_constrained_subproblem(L, start, SubsolveConfig(grad_tol=1e-13, max_inner_iters=300))
         assert np.linalg.norm(sol.y - sp) < 1e-8
 
 
