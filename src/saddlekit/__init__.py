@@ -28,13 +28,11 @@ from .potentials import (
 )
 from .eigen import MinModeResult, dense_eigensolve, dense_hessian, min_modes, stationary_index
 from .objective import (
-    GeodesicFrame,
     ModifiedObjective,
     build_flat,
     build_index_m,
     build_manifold,
     build_sphere_naive,
-    sphere_frame,
 )
 from .subsolve import InnerSolve, NewtonResult, SubsolveConfig, minimize, newton_stationary, sd_single_step
 from .manifold import (

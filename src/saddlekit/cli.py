@@ -29,9 +29,18 @@ def _cmd_run(args):
     return 0 if summary["all_converged"] else 1
 
 
+_DOA_KEYS = ("problem", "problem_params", "method", "region", "n", "budget", "box",
+             "saddle_tol", "workers", "label")
+
+
 def _cmd_doa(args):
     with open(args.config) as fh:
         raw = yaml.safe_load(fh)
+    if not isinstance(raw, dict):
+        raise ValueError(f"doa config {args.config} must be a mapping")
+    unknown = sorted(set(raw) - set(_DOA_KEYS))
+    if unknown:
+        raise ValueError(f"unknown doa config keys: {unknown}")
     region = tuple(tuple(map(float, b)) for b in raw.get("region", ((-1.5, 1.5), (-1.5, 2.0))))
     grid = doa_scan(
         raw.get("problem", "three_hole"),

@@ -5,7 +5,9 @@ locally optimal conjugate directions (LOBPCG-style) driven entirely by
 Hessian-vector products, so it never forms the Hessian.  An optional
 tangent restriction solves the eigenproblem inside the span of an
 orthonormal basis, which keeps constrained eigenvectors exactly in the
-tangent space.
+tangent space.  One routine turns products into matrices, ``H U`` or
+``B^T H B U``: the solver applies it to its blocks and ``dense_hessian``
+to the identity.
 """
 
 from dataclasses import dataclass
@@ -85,7 +87,8 @@ def min_modes(p, x, m=1, v0=None, tol=1e-10, basis=None, max_iters=1000,
     Raises
     ------
     EigensolveError
-        On non-convergence; the best result so far rides on ``.result``.
+        On a non-finite Hessian-vector product, or on non-convergence; in
+        the latter case the best result so far rides on ``.result``.
     """
     x = np.asarray(x, dtype=float)
     d = p.dimension
@@ -93,16 +96,17 @@ def min_modes(p, x, m=1, v0=None, tol=1e-10, basis=None, max_iters=1000,
         raise ValueError("tol must be positive")
     if basis is None:
         n = d
-        apply_h = lambda U: np.column_stack([p.hessian_vec(x, U[:, k]) for k in range(U.shape[1])])
     else:
         basis = np.asarray(basis, dtype=float)
         if basis.ndim != 2 or basis.shape[0] != d:
             raise ValueError(f"basis must be a matrix with {d} rows, got shape {basis.shape}")
         n = basis.shape[1]
 
-        def apply_h(U):
-            cols = [basis.T @ p.hessian_vec(x, basis @ U[:, k]) for k in range(U.shape[1])]
-            return np.column_stack(cols)
+    def apply_h(U):
+        HU = _hessian_products(p, x, U, basis)
+        if not np.all(np.isfinite(HU)):
+            raise EigensolveError("non-finite Hessian-vector product")
+        return HU
 
     if m < 1 or m > n:
         raise ValueError(f"requested {m} modes from a {n}-dimensional eigenproblem")
@@ -223,18 +227,36 @@ def min_modes(p, x, m=1, v0=None, tol=1e-10, basis=None, max_iters=1000,
     )
 
 
-def dense_hessian(p, x, cap=1000) -> np.ndarray:
-    """Assemble the symmetrized Hessian column-by-column from products."""
+def _unit_vectors(n):
+    """The columns of the n x n identity in turn, in one reused vector."""
+    e = np.zeros(n)
+    for i in range(n):
+        e[i] = 1.0
+        yield e
+        e[i] = 0.0
+
+
+def _hessian_products(p, x, U=None, basis=None) -> np.ndarray:
+    """``H U``, one Hessian-vector product per column, or ``B^T H B U`` for an
+    orthonormal ``basis`` B (d, k); ``U`` defaults to the identity."""
+    n = p.dimension if basis is None else basis.shape[1]
+    HU = np.empty((n, n if U is None else U.shape[1]))
+    for i, u in enumerate(_unit_vectors(n) if U is None else U.T):
+        if basis is None:
+            HU[:, i] = p.hessian_vec(x, u)
+        else:
+            HU[:, i] = basis.T @ p.hessian_vec(x, basis @ u)
+    return HU
+
+
+def dense_hessian(p, x, cap=1000, basis=None) -> np.ndarray:
+    """Assemble the symmetrized Hessian (``B^T H B`` for an orthonormal
+    ``basis`` B) column-by-column from products."""
     x = np.asarray(x, dtype=float)
     d = p.dimension
     if d > cap:
         raise ValueError(f"dense Hessian capped at dimension {cap}, model has {d}")
-    H = np.empty((d, d))
-    e = np.zeros(d)
-    for i in range(d):
-        e[i] = 1.0
-        H[:, i] = p.hessian_vec(x, e)
-        e[i] = 0.0
+    H = _hessian_products(p, x, basis=basis)
     return 0.5 * (H + H.T)
 
 
@@ -249,13 +271,13 @@ def dense_eigensolve(p, x, cap=1000) -> Spectrum:
     return Spectrum(evals, evecs)
 
 
-def stationary_index(p, x, cap=1000, rel_tol=1e-8) -> int:
+def stationary_index(p, x, cap=1000) -> int:
     """Number of negative Hessian eigenvalues at ``x`` (0 = minimum)."""
     evals, _ = dense_eigensolve(p, x, cap=cap)
-    return count_negative(evals, rel_tol)
+    return count_negative(evals)
 
 
-def count_negative(evals, rel_tol=1e-8) -> int:
-    """Number of eigenvalues below ``-rel_tol * max(1, max |lambda|)``."""
-    thresh = rel_tol * max(1.0, float(np.abs(evals).max()))
+def count_negative(evals) -> int:
+    """Number of eigenvalues below ``-1e-8 * max(1, max |lambda|)``."""
+    thresh = 1e-8 * max(1.0, float(np.abs(evals).max()))
     return int(np.sum(evals < -thresh))

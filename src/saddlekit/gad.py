@@ -2,10 +2,13 @@
 
 The position descends the energy with the force component along ``v``
 reversed; ``v`` relaxes toward the smallest-eigenvalue direction of the
-Hessian.  Stable equilibria are index-1 saddles.  Only explicit Euler
-stepping is provided, in flat space and projected onto the unit sphere,
-plus an eigenvector-following variant where ``v`` is replaced by
-the exact min-mode every step.
+Hessian.  Stable equilibria are index-1 saddles.  ``euler_step`` is one
+explicit Euler step, in flat space or, with ``on_sphere=True``, with the
+gradient, direction and Hessian action projected onto the tangent spaces
+of the unit sphere and the new point retracted onto it.  An
+eigenvector-following variant (flat space only) replaces ``v`` by the exact
+min-mode every step.  ``run`` evaluates the gradient and the Hessian action
+once per step and uses them both for its equilibrium test and for the step.
 """
 
 import csv
@@ -16,7 +19,7 @@ import numpy as np
 from .eigen import min_modes
 from . import manifold as mf
 
-__all__ = ["GADState", "GADTrajectory", "euler_step", "euler_step_manifold", "run"]
+__all__ = ["GADState", "GADTrajectory", "euler_step", "run"]
 
 
 @dataclass(frozen=True, eq=False)
@@ -39,59 +42,57 @@ class GADState:
             raise ValueError("gamma must be positive")
 
 
-def euler_step(p, s: GADState, dt, reversal=2.0, exact_mode=False) -> GADState:
-    """One explicit Euler step of the coupled flow.
-
-    ``reversal`` scales the reflected force component (2 recovers the plain
-    dynamics).  With ``exact_mode`` the direction equation is replaced by the
-    exact smallest-eigenvalue direction at the current point (the fully
-    relaxed limit of the direction flow).
-    """
+def _check_options(dt, exact_mode, on_sphere):
     if dt <= 0:
         raise ValueError("dt must be positive")
-    x, v = s.x, s.v
-    if exact_mode:
-        v = min_modes(p, x, m=1, v0=v, tol=1e-13).eigenvectors[:, 0]
-    g = p.gradient(x)
-    vv = float(v @ v)
-    x_new = x + dt * (-g + reversal * (float(g @ v) / vv) * v)
-    if exact_mode:
-        v_new = v
-    else:
-        Hv = p.hessian_vec(x, v)
-        v_new = v + (dt / s.gamma) * (-Hv + (float(v @ Hv) / vv) * v)
-        v_new = v_new / np.linalg.norm(v_new)
-    return GADState(x=x_new, v=v_new, t=s.t + dt, gamma=s.gamma)
+    if exact_mode and on_sphere:
+        raise ValueError("exact_mode is defined in flat space only")
 
 
-def euler_step_manifold(p, s: GADState, dt, reversal=2.0) -> GADState:
-    """Euler step of the flow projected onto the tangent spaces of the unit sphere.
-
-    The position force is tangent-projected and the new point retracted onto
-    the sphere; the direction update uses the tangent-projected Hessian
-    action with a multiplier preserving unit length, then is re-projected
-    tangent at the new point.
-    """
-    if dt <= 0:
-        raise ValueError("dt must be positive")
-    proj = mf.tangent_projector(s.x)
+def _flow(p, s: GADState, on_sphere):
+    """``(g, v, Hv)`` at ``s.x``: the gradient, the unit direction and its
+    Hessian product, projected onto the tangent space on the unit sphere."""
+    proj = mf.tangent_projector(s.x) if on_sphere else (lambda u: u)
     v = proj(s.v)
     n = np.linalg.norm(v)
     if n == 0.0:
         raise ValueError("direction has no tangent component")
     v = v / n
-    g = p.gradient(s.x)
-    force = proj(-g + reversal * float(g @ v) * v)
-    x_new = mf.retract(s.x, dt * force)
+    return proj(p.gradient(s.x)), v, proj(p.hessian_vec(s.x, v))
 
-    Hv = proj(p.hessian_vec(s.x, v))
-    eta = float(Hv @ v)
-    v_new = v + (dt / s.gamma) * (-Hv + eta * v)
-    v_new = mf.tangent_projector(x_new)(v_new)
+
+def _advance(p, s: GADState, dt, reversal, exact_mode, on_sphere, g, v, Hv) -> GADState:
+    """The Euler update from the quantities ``_flow`` returns at ``s.x``."""
+    if exact_mode:
+        v = min_modes(p, s.x, m=1, v0=s.v, tol=1e-13).eigenvectors[:, 0]
+    vv = float(v @ v)
+    step = dt * (-g + reversal * (float(g @ v) / vv) * v)
+    x_new = mf.retract(s.x, step) if on_sphere else s.x + step
+    if exact_mode:
+        return GADState(x=x_new, v=v, t=s.t + dt, gamma=s.gamma)
+    v_new = v + (dt / s.gamma) * (-Hv + (float(v @ Hv) / vv) * v)
+    if on_sphere:
+        v_new = mf.tangent_projector(x_new)(v_new)
     n = np.linalg.norm(v_new)
     if n == 0.0:
         raise ValueError("direction vanished after projection")
     return GADState(x=x_new, v=v_new / n, t=s.t + dt, gamma=s.gamma)
+
+
+def euler_step(p, s: GADState, dt, reversal=2.0, exact_mode=False, on_sphere=False) -> GADState:
+    """One explicit Euler step of the coupled flow.
+
+    ``reversal`` scales the reflected force component (2 recovers the plain
+    dynamics).  With ``exact_mode`` the direction equation is replaced by the
+    exact smallest-eigenvalue direction at the current point (the fully
+    relaxed limit of the direction flow).  With ``on_sphere`` the gradient,
+    the direction and its Hessian action are projected onto the tangent
+    space, the new point is retracted onto the unit sphere and the new
+    direction re-projected tangent there; ``exact_mode`` is then refused.
+    """
+    _check_options(dt, exact_mode, on_sphere)
+    g, v, Hv = _flow(p, s, on_sphere)
+    return _advance(p, s, dt, reversal, exact_mode, on_sphere, g, v, Hv)
 
 
 @dataclass
@@ -140,23 +141,14 @@ def run(p, s0: GADState, dt, max_steps=10000, tol=1e-8, reversal=2.0,
 
     Terminal test: gradient norm and the eigen-residual ||Hv - <v,Hv> v||
     both at or below ``tol`` (tangent-projected quantities on the unit
-    sphere when ``on_sphere``).
+    sphere when ``on_sphere``).  The gradient and ``Hv`` of the test are the
+    ones the following step uses.
     """
+    _check_options(dt, exact_mode, on_sphere)
     traj = GADTrajectory()
     s = s0
-    if on_sphere:
-        mf.check_on_sphere(s.x)
     for k in range(max_steps + 1):
-        if on_sphere:
-            proj = mf.tangent_projector(s.x)
-            g = proj(p.gradient(s.x))
-            v = proj(s.v)
-            v = v / np.linalg.norm(v)
-            Hv = proj(p.hessian_vec(s.x, v))
-        else:
-            g = p.gradient(s.x)
-            v = s.v / np.linalg.norm(s.v)
-            Hv = p.hessian_vec(s.x, v)
+        g, v, Hv = _flow(p, s, on_sphere)
         gn = float(np.linalg.norm(g, ord=np.inf))
         if k % record_every == 0 or k == max_steps:
             traj.add(s, gn)
@@ -169,9 +161,6 @@ def run(p, s0: GADState, dt, max_steps=10000, tol=1e-8, reversal=2.0,
             return traj
         if k == max_steps:
             break
-        if on_sphere:
-            s = euler_step_manifold(p, s, dt, reversal=reversal)
-        else:
-            s = euler_step(p, s, dt, reversal=reversal, exact_mode=exact_mode)
+        s = _advance(p, s, dt, reversal, exact_mode, on_sphere, g, v, Hv)
     traj.steps = max_steps
     return traj

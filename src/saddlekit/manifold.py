@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .eigen import count_negative
+from .eigen import count_negative, dense_hessian
 from .errors import OffManifoldError, SubsolveError
 from .subsolve import InnerSolve, SubsolveConfig, descend
 
@@ -158,17 +158,11 @@ def solve_constrained_subproblem(L, y0, cfg: SubsolveConfig) -> InnerSolve:
 def constrained_index(p, x) -> int:
     """Intrinsic Hessian index of a critical point of ``p`` on the sphere.
 
-    The intrinsic Hessian is ``H - (x.grad V) I`` restricted to the tangent
-    space: the multiplier ``x.grad V`` times the sphere's curvature is
-    subtracted from the energy Hessian before restriction to the tangent
-    basis.
+    The intrinsic Hessian is ``B^T H B - (x.grad V) I`` in a tangent basis
+    B: the multiplier ``x.grad V`` times the sphere's curvature is
+    subtracted from the energy Hessian restricted to the tangent space.
     """
     x = np.asarray(x, dtype=float)
-    B = tangent_projector(x).basis
-    mult = float(x @ p.gradient(x))
-    k = B.shape[1]
-    Hk = np.empty((k, k))
-    for i in range(k):
-        Hk[:, i] = B.T @ (p.hessian_vec(x, B[:, i]) - mult * B[:, i])
-    Hk = 0.5 * (Hk + Hk.T)
+    Hk = dense_hessian(p, x, basis=tangent_projector(x).basis)
+    Hk -= float(x @ p.gradient(x)) * np.eye(Hk.shape[0])
     return count_negative(np.linalg.eigvalsh(Hk))

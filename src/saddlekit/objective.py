@@ -23,10 +23,13 @@ The builders differ only in their maps:
   and beta (index-m with one mode and one subset);
 * ``build_index_m``: m orthonormal modes, straight-line projections off and
   onto the span of each weighted subset;
-* ``build_manifold``: on the unit sphere, great-circle projections onto the
-  circle along the mode (beta) and along its complement (alpha);
-* ``build_sphere_naive``: on the unit sphere, the straight-line mode
-  projection retracted back onto the sphere (alpha = 0).
+* ``build_manifold``: on the unit sphere S^2, great-circle projections onto
+  the circle along the mode (beta) and along its complement (alpha);
+* ``build_sphere_naive``: on S^2, the straight-line mode projection
+  retracted back onto the sphere (alpha = 0, beta = 2).
+
+Every builder takes the potential, the anchor x and the mode(s) there; the
+sphere builders project the mode onto the tangent plane at x themselves.
 
 Straight-line projections are linear, so the flat objectives have the exact
 Hessian-vector product ``w_0 H(y) u + sum_k w_k P_k H(pi_k y) P_k u``; the
@@ -45,12 +48,10 @@ from .manifold import great_circle_angle
 __all__ = [
     "ModifiedObjective",
     "ReversalTerm",
-    "GeodesicFrame",
     "build_flat",
     "build_index_m",
     "build_manifold",
     "build_sphere_naive",
-    "sphere_frame",
     "COEFFICIENT_PRESETS",
 ]
 
@@ -61,39 +62,6 @@ COEFFICIENT_PRESETS = {
     "ray": (0.0, 2.0),
     "mix": (1.0, 1.0),
 }
-
-
-@dataclass(frozen=True, eq=False)
-class GeodesicFrame:
-    """Anchor on the unit sphere with a tangent direction and its complement."""
-
-    x: np.ndarray
-    v: np.ndarray
-    v_perp: np.ndarray
-
-    def __post_init__(self):
-        for name in ("x", "v", "v_perp"):
-            vec = np.asarray(getattr(self, name), dtype=float)
-            object.__setattr__(self, name, vec)
-        if abs(np.linalg.norm(self.x) - 1.0) > 1e-10:
-            raise OffManifoldError("frame anchor must lie on the unit sphere")
-        for vec in (self.v, self.v_perp):
-            if abs(np.linalg.norm(vec) - 1.0) > 1e-10 or abs(vec @ self.x) > 1e-10:
-                raise OffManifoldError("frame directions must be unit tangents")
-
-
-def sphere_frame(x, v) -> GeodesicFrame:
-    """Build a frame at ``x`` on S^2; the complement is the cross product."""
-    x = np.asarray(x, dtype=float)
-    v = np.asarray(v, dtype=float)
-    if x.shape != (3,):
-        raise DimensionError("sphere frames are defined in 3 dimensions")
-    v = v - (v @ x) * x
-    n = np.linalg.norm(v)
-    if n == 0.0:
-        raise ValueError("tangent direction vanishes after projection")
-    v = v / n
-    return GeodesicFrame(x=x, v=v, v_perp=np.cross(x, v))
 
 
 def _as_unit(v, what="direction"):
@@ -333,29 +301,39 @@ def build_index_m(p, x, directions, subset_alpha=None, subset_beta=None) -> Modi
     return _linear_objective(p, x, V, sa, sb)
 
 
-def build_manifold(p, frame: GeodesicFrame, variant="ray", alpha=None, beta=None) -> ModifiedObjective:
+def _sphere_tangents(p, x, v):
+    """Anchor on S^2, unit tangent along ``v`` and its complement ``x cross v``."""
+    x = np.asarray(x, dtype=float)
+    v = np.asarray(v, dtype=float)
+    if p.dimension != 3 or x.shape != (3,):
+        raise DimensionError("sphere objectives require a 3-dimensional potential")
+    if abs(np.linalg.norm(x) - 1.0) > 1e-10:
+        raise OffManifoldError("sphere objective anchor must lie on the unit sphere")
+    v = v - (v @ x) * x
+    n = np.linalg.norm(v)
+    if n == 0.0:
+        raise ValueError("tangent direction vanishes after projection")
+    v = v / n
+    return x, v, np.cross(x, v)
+
+
+def build_manifold(p, x, v, alpha, beta) -> ModifiedObjective:
     """Index-1 objective on the unit sphere using great-circle projections.
 
-    ``variant`` picks a coefficient preset ("hyperplane" reverses off the
-    complement geodesic, "ray" along the mode geodesic, "mix" both); explicit
-    ``alpha``/``beta`` override it.  The alpha term samples V on the geodesic
-    tangent to the complement direction, the beta term on the geodesic
-    tangent to the mode itself.
+    ``v`` is the mode at the anchor ``x`` (projected onto the tangent plane
+    and normalized here).  The alpha term samples V on the great circle
+    tangent to the complement direction ``x cross v``, the beta term on the
+    one tangent to the mode itself; ``COEFFICIENT_PRESETS`` names the usual
+    pairs ("hyperplane", "ray", "mix").
     """
-    if variant not in COEFFICIENT_PRESETS:
-        raise ValueError(f"unknown variant {variant!r}; choose from {sorted(COEFFICIENT_PRESETS)}")
-    pa, pb = COEFFICIENT_PRESETS[variant]
-    alpha = pa if alpha is None else float(alpha)
-    beta = pb if beta is None else float(beta)
+    alpha, beta = float(alpha), float(beta)
     if alpha + beta <= 1.0:
         raise CoefficientError(f"alpha + beta = {alpha + beta:g} <= 1")
-    if p.dimension != 3:
-        raise DimensionError("sphere objectives require a 3-dimensional potential")
-    terms = (_great_circle_term(alpha, frame.x, frame.v_perp),
-             _great_circle_term(-beta, frame.x, frame.v))
+    x, v, v_perp = _sphere_tangents(p, x, v)
+    terms = (_great_circle_term(alpha, x, v_perp), _great_circle_term(-beta, x, v))
     return ModifiedObjective(
         potential=p,
-        anchor=frame.x,
+        anchor=x,
         base_weight=1.0 - alpha,
         terms=tuple(t for t in terms if t.weight != 0.0),
         coefficient_sum=alpha + beta,
@@ -363,10 +341,11 @@ def build_manifold(p, frame: GeodesicFrame, variant="ray", alpha=None, beta=None
     )
 
 
-def build_sphere_naive(p, frame: GeodesicFrame, beta=2.0) -> ModifiedObjective:
+def build_sphere_naive(p, x, v) -> ModifiedObjective:
     """Comparison variant: straight-line mode projection retracted to S^2.
 
-    L(y) = V(y) - beta V(R_x(vv^T (y-x))) with R_x(u) = (x+u)/|x+u|.  Since
+    L(y) = V(y) - 2 V(R_x(vv^T (y-x))) with R_x(u) = (x+u)/|x+u|, for the
+    mode ``v`` at ``x`` made a unit tangent as in ``build_manifold``.  Since
     v is a unit tangent at x, the retracted point is exactly
     cos(t) x + sin(t) v with tan(t) = c = v.(y-x): a point on the mode's great
     circle, reached through the reparametrisation t = atan(c) of the
@@ -384,15 +363,12 @@ def build_sphere_naive(p, frame: GeodesicFrame, beta=2.0) -> ModifiedObjective:
     neighbourhoods of +-e1 without converging.  Kept to contrast with the
     geodesic construction.
     """
-    if float(beta) <= 1.0:
-        raise CoefficientError(f"beta = {beta:g} <= 1")
-    if p.dimension != 3:
-        raise DimensionError("sphere objectives require a 3-dimensional potential")
+    x, v, _ = _sphere_tangents(p, x, v)
     return ModifiedObjective(
         potential=p,
-        anchor=frame.x,
+        anchor=x,
         base_weight=1.0,
-        terms=(_retracted_line_term(-float(beta), frame.x, frame.v),),
-        coefficient_sum=float(beta),
+        terms=(_retracted_line_term(-2.0, x, v),),
+        coefficient_sum=2.0,
         on_sphere=True,
     )

@@ -146,11 +146,11 @@ def step(p, state: SearchState, cfg: SearchConfig) -> SearchState:
 
     lam = modes.eigenvalues
     if cfg.on_sphere:
-        frame = obj.sphere_frame(x, modes.eigenvectors[:, 0])
+        v = modes.eigenvectors[:, 0]
         if cfg.sphere_variant == "naive":
-            L = obj.build_sphere_naive(p, frame)
+            L = obj.build_sphere_naive(p, x, v)
         else:
-            L = obj.build_manifold(p, frame, variant=cfg.sphere_variant)
+            L = obj.build_manifold(p, x, v, *obj.COEFFICIENT_PRESETS[cfg.sphere_variant])
     else:
         if lam[0] > 0.0 and cfg.subsolve.box_radius is None:
             raise ConvexRegionError(
@@ -237,9 +237,10 @@ class ConvergenceRecord:
         rows = self.rows if include_start else self.rows[1:]
         return [r[2] for r in rows if r[2] is not None]
 
-    def to_csv(self, path, max_point_columns=8):
+    def to_csv(self, path):
+        """Write the rows; the point's coordinates only when d <= 8."""
         d = len(self.rows[0][1]) if self.rows else 0
-        with_x = d <= max_point_columns
+        with_x = d <= 8
         with open(path, "w", newline="") as fh:
             w = csv.writer(fh)
             head = ["iter", "error", "grad_norm", "lambda1", "inner_iters"]

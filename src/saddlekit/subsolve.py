@@ -29,6 +29,9 @@ __all__ = [
 
 _ARMIJO_C1 = 1e-4
 _MAX_HALVINGS = 60
+# trial step length, over |d|, when the direction has no positive curvature
+# and no step has been accepted yet
+_FIRST_STEP = 0.1
 
 
 @dataclass(frozen=True)
@@ -36,23 +39,18 @@ class SubsolveConfig:
     """Inner-solver settings.
 
     ``box_radius`` bounds ``||y - y0||_inf`` over the whole solve when set.
-    ``ncg_restart`` forces a steepest-descent restart every so many
-    iterations (0 means the problem dimension).  ``step_size`` seeds the
-    line search when no curvature information is usable.
     """
 
     method: str = "ncg"
     max_inner_iters: int = 500
     grad_tol: float = 1e-12
-    step_size: float = 0.1
     box_radius: float = None
-    ncg_restart: int = 0
 
     def __post_init__(self):
         if self.method not in ("sd", "ncg"):
             raise ValueError(f"method must be 'sd' or 'ncg', got {self.method!r}")
-        if self.grad_tol <= 0 or self.step_size <= 0 or self.max_inner_iters < 1:
-            raise ValueError("tolerances, step size and iteration budget must be positive")
+        if self.grad_tol <= 0 or self.max_inner_iters < 1:
+            raise ValueError("tolerance and iteration budget must be positive")
         if self.box_radius is not None and self.box_radius <= 0:
             raise ValueError("box_radius must be positive when present")
 
@@ -87,7 +85,7 @@ class FlatGeometry:
     """Flat-space rules of the descent loop, with an optional trust box.
 
     Directions are Jacobi-preconditioned when ``L`` offers a curvature
-    hint; conjugacy restarts every ``ncg_restart`` steps and after a step
+    hint; conjugacy restarts every ``max(4, d)`` steps and after a step
     the box clipped; the Armijo slope is taken along the realized (clipped)
     step and the stall test on the largest coordinate move.
     """
@@ -99,7 +97,7 @@ class FlatGeometry:
         self.lo = self.hi = None
         if cfg.box_radius is not None:
             self.lo, self.hi = y0 - cfg.box_radius, y0 + cfg.box_radius
-        self.restart_every = cfg.ncg_restart if cfg.ncg_restart > 0 else max(4, y0.size)
+        self.restart_every = max(4, y0.size)
         self.scale_inv = _preconditioner(L, y0)
         self.clipped = False
 
@@ -185,7 +183,7 @@ def descend(L, y0, cfg: SubsolveConfig, geometry) -> InnerSolve:
         elif t_prev is not None:
             t = t_prev
         else:
-            t = cfg.step_size / max(np.linalg.norm(d), 1e-300)
+            t = _FIRST_STEP / max(np.linalg.norm(d), 1e-300)
 
         accepted = False
         # allow roundoff-level non-decrease: sufficient-decrease tests are

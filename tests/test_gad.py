@@ -80,6 +80,44 @@ def test_linear_rate(three_hole):
     assert order <= 1.3
 
 
+def _counting(p):
+    """``p`` with its gradient and Hessian-vector calls counted."""
+    calls = {"gradient": 0, "hvp": 0}
+
+    def gradient(x):
+        calls["gradient"] += 1
+        return p.gradient_fn(x)
+
+    def hvp(x, u):
+        calls["hvp"] += 1
+        return p.hessian_vec_fn(x, u)
+
+    return sk.PotentialModel(p.name, p.dimension, p.energy_fn, gradient, hvp), calls
+
+
+@pytest.mark.parametrize("on_sphere", [False, True])
+def test_run_evaluates_once_per_step(three_hole, sphere_quad, on_sphere):
+    # the equilibrium test and the step share one gradient and one product
+    if on_sphere:
+        p, calls = _counting(sphere_quad)
+        x0 = np.array([1.0, 0.2, 0.1]) / np.linalg.norm([1.0, 0.2, 0.1])
+        s0 = gad.GADState(x=x0, v=np.array([0.0, 1.0, 1.0]))
+    else:
+        p, calls = _counting(three_hole)
+        s0 = gad.GADState(x=three_hole.stationary_points[0][0] + 0.05, v=np.array([0.0, 1.0]))
+    traj = gad.run(p, s0, dt=0.02, max_steps=3000, tol=1e-9, on_sphere=on_sphere)
+    assert traj.status == "converged" and traj.steps > 10
+    assert calls == {"gradient": traj.steps + 1, "hvp": traj.steps + 1}
+
+
+def test_exact_mode_is_flat_only(sphere_quad):
+    s = gad.GADState(x=np.array([1.0, 0.0, 0.0]), v=np.array([0.0, 1.0, 0.0]))
+    with pytest.raises(ValueError, match="exact_mode"):
+        gad.euler_step(sphere_quad, s, dt=0.01, exact_mode=True, on_sphere=True)
+    with pytest.raises(ValueError, match="exact_mode"):
+        gad.run(sphere_quad, s, dt=0.01, exact_mode=True, on_sphere=True)
+
+
 def test_trajectory_csv(tmp_path, double_well2):
     s0 = gad.GADState(x=np.array([0.2, 0.1]), v=np.array([1.0, 0.0]))
     traj = gad.run(double_well2, s0, dt=0.02, max_steps=200, tol=1e-12, record_every=10)
@@ -95,7 +133,7 @@ def test_trajectory_csv(tmp_path, double_well2):
 
 def test_manifold_equilibrium_fixed(sphere_quad):
     s = gad.GADState(x=np.array([0.0, 1.0, 0.0]), v=np.array([1.0, 0.0, 0.0]))
-    s2 = gad.euler_step_manifold(sphere_quad, s, dt=0.01)
+    s2 = gad.euler_step(sphere_quad, s, dt=0.01, on_sphere=True)
     assert np.allclose(s2.x, s.x, atol=1e-14)
     assert np.allclose(s2.v, s.v, atol=1e-14)
 
@@ -119,6 +157,6 @@ def test_manifold_constraint_drift(sphere_quad):
     s = gad.GADState(x=x, v=rng.standard_normal(3))
     worst = 0.0
     for _ in range(10000):
-        s = gad.euler_step_manifold(sphere_quad, s, dt=0.005)
+        s = gad.euler_step(sphere_quad, s, dt=0.005, on_sphere=True)
         worst = max(worst, abs(np.linalg.norm(s.x) - 1.0))
     assert worst <= 1e-12

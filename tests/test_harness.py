@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -14,7 +15,7 @@ from saddlekit.harness import (
     run_experiment,
     run_invariant_checks,
 )
-from saddlekit import cli
+from saddlekit import cli, harness
 
 
 def _tiny_config(**over):
@@ -192,3 +193,25 @@ def test_cli_doa(tmp_path):
     assert cli.main(["doa", str(cfg_path), "-o", str(out)]) == 0
     labels = np.loadtxt(out / "minidoa.csv", delimiter=",", dtype=int, ndmin=2)
     assert labels.shape == (3, 3)
+
+
+def test_cli_doa_rejects_unknown_keys(tmp_path):
+    cfg_path = tmp_path / "doa.yaml"
+    cfg_path.write_text(yaml.safe_dump({"problem": "three_hole", "n": 2, "budjet": 5}))
+    with pytest.raises(ValueError, match="budjet"):
+        cli.main(["doa", str(cfg_path), "-o", str(tmp_path / "out")])
+    cfg_path.write_text("- three_hole\n")
+    with pytest.raises(ValueError, match="mapping"):
+        cli.main(["doa", str(cfg_path), "-o", str(tmp_path / "out")])
+
+
+def test_benchmark_traced_names_resolve(monkeypatch):
+    # the benchmark's traced run rebinds these library names; importing its
+    # workloads also builds the search configs they run
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
+    import tracing
+    import workloads
+
+    for owner, attr, _, _ in tracing.targets(workloads):
+        assert hasattr(owner, attr), f"{owner!r} has no attribute {attr!r}"
+    assert hasattr(harness, "run_search")

@@ -12,7 +12,7 @@ from saddlekit.manifold import (
     sphere_geodesic_project,
     tangent_projector,
 )
-from saddlekit.objective import sphere_frame
+from saddlekit.objective import COEFFICIENT_PRESETS
 from saddlekit.subsolve import SubsolveConfig
 
 
@@ -93,7 +93,7 @@ def test_constrained_solve_fixed_point(sphere_quad):
     sp = np.array([0.0, 1.0, 0.0])
     basis = tangent_projector(sp).basis
     modes = sk.min_modes(sphere_quad, sp, m=1, tol=1e-13, basis=basis)
-    L = sk.build_manifold(sphere_quad, sphere_frame(sp, modes.eigenvectors[:, 0]), "ray")
+    L = sk.build_manifold(sphere_quad, sp, modes.eigenvectors[:, 0], *COEFFICIENT_PRESETS["ray"])
     sol = solve_constrained_subproblem(L, sp, SubsolveConfig(grad_tol=1e-13, max_inner_iters=100))
     assert np.linalg.norm(sol.y - sp) < 1e-12
 
@@ -104,7 +104,7 @@ def test_constrained_solve_feasibility_and_tolerance(sphere_quad):
     x /= np.linalg.norm(x)
     basis = tangent_projector(x).basis
     modes = sk.min_modes(sphere_quad, x, m=1, tol=1e-12, basis=basis)
-    L = sk.build_manifold(sphere_quad, sphere_frame(x, modes.eigenvectors[:, 0]), "mix")
+    L = sk.build_manifold(sphere_quad, x, modes.eigenvectors[:, 0], *COEFFICIENT_PRESETS["mix"])
     sol = solve_constrained_subproblem(L, x, SubsolveConfig(grad_tol=1e-12, max_inner_iters=400))
     assert abs(np.linalg.norm(sol.y) - 1.0) < 1e-12
     assert sol.grad_norm <= 1e-12

@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 import saddlekit as sk
 from saddlekit.errors import CoefficientError, DimensionError, OffManifoldError
-from saddlekit.objective import COEFFICIENT_PRESETS, sphere_frame
+from saddlekit.objective import COEFFICIENT_PRESETS
 
 from conftest import fd_gradient, make_index2_cubic
 
@@ -256,39 +256,72 @@ def test_index_m_gradient_fd():
 # -- sphere -----------------------------------------------------------------
 
 
-def _frame(rng, x=None):
-    if x is None:
-        x = rng.standard_normal(3)
-        x /= np.linalg.norm(x)
+def _anchor(rng):
+    """A random point of S^2 and a random unit tangent there."""
+    x = rng.standard_normal(3)
+    x /= np.linalg.norm(x)
     v = rng.standard_normal(3)
-    return sphere_frame(x, v)
+    v -= (v @ x) * x
+    return x, v / np.linalg.norm(v)
 
 
-def test_sphere_frame_orthonormal():
+def test_sphere_frame_orthonormal(sphere_quad):
+    # the builder takes any mode with a tangent component: its two terms
+    # sample the great circles along the unit tangent t of the mode and along
+    # x cross t, three orthonormal directions
     rng = np.random.default_rng(11)
-    f = _frame(rng)
-    for vec in (f.x, f.v, f.v_perp):
-        assert np.isclose(np.linalg.norm(vec), 1.0)
-    assert abs(f.x @ f.v) < 1e-12
-    assert abs(f.x @ f.v_perp) < 1e-12
-    assert abs(f.v @ f.v_perp) < 1e-12
+    x, _ = _anchor(rng)
+    raw = rng.standard_normal(3)
+    t = raw - (raw @ x) * x
+    t /= np.linalg.norm(t)
+    t_perp = np.cross(x, t)
+    F = np.column_stack([x, t, t_perp])
+    assert np.allclose(F.T @ F, np.eye(3), atol=1e-12)
+    L = sk.build_manifold(sphere_quad, x, raw, *COEFFICIENT_PRESETS["mix"])
+    (w_a, along_perp, _), (w_b, along_mode, _) = L.terms
+    assert (w_a, w_b) == (1.0, -1.0)
+    for s in rng.uniform(-1.5, 1.5, 5):
+        # a point of either circle is its own projection onto that circle
+        on_mode = np.cos(s) * x + np.sin(s) * t
+        on_perp = np.cos(s) * x + np.sin(s) * t_perp
+        assert np.linalg.norm(along_mode(on_mode) - on_mode) <= 1e-12
+        assert np.linalg.norm(along_perp(on_perp) - on_perp) <= 1e-12
+        # and any point lands on the circle's plane
+        y = rng.standard_normal(3)
+        y /= np.linalg.norm(y)
+        assert abs(along_mode(y) @ t_perp) <= 1e-12
+        assert abs(along_perp(y) @ t) <= 1e-12
+
+
+def test_sphere_builders_check_anchor_and_dimension(sphere_quad, three_hole):
+    x, v = _anchor(np.random.default_rng(10))
+    for build in (lambda p, y: sk.build_manifold(p, y, v, 0.0, 2.0),
+                  lambda p, y: sk.build_sphere_naive(p, y, v)):
+        with pytest.raises(OffManifoldError):
+            build(sphere_quad, 1.1 * x)
+        with pytest.raises(DimensionError):
+            build(three_hole, x[:2])
+    with pytest.raises(ValueError):
+        sk.build_manifold(sphere_quad, x, x, 0.0, 2.0)  # no tangent component
+    with pytest.raises(CoefficientError):
+        sk.build_manifold(sphere_quad, x, v, 0.5, 0.5)
 
 
 def test_sphere_value_at_anchor(sphere_quad):
     rng = np.random.default_rng(12)
-    f = _frame(rng)
+    x, v = _anchor(rng)
     for variant, (a, b) in COEFFICIENT_PRESETS.items():
-        L = sk.build_manifold(sphere_quad, f, variant)
-        assert np.isclose(L.value(f.x), (1.0 - b) * sphere_quad.energy(f.x), atol=1e-12)
+        L = sk.build_manifold(sphere_quad, x, v, a, b)
+        assert np.isclose(L.value(x), (1.0 - b) * sphere_quad.energy(x), atol=1e-12)
 
 
 def test_sphere_gradient_matches_fd(sphere_quad):
     rng = np.random.default_rng(13)
-    f = _frame(rng)
+    x, v = _anchor(rng)
     for variant in ("hyperplane", "ray", "mix"):
-        L = sk.build_manifold(sphere_quad, f, variant)
+        L = sk.build_manifold(sphere_quad, x, v, *COEFFICIENT_PRESETS[variant])
         for _ in range(3):
-            y = f.x + 1e-5 * rng.standard_normal(3)
+            y = x + 1e-5 * rng.standard_normal(3)
             y /= np.linalg.norm(y)
             # ambient finite differences with a step small enough to stay
             # within the manifold tolerance of the objective
@@ -304,7 +337,7 @@ def test_sphere_gradient_matches_fd(sphere_quad):
 
 def test_sphere_off_manifold_rejected(sphere_quad):
     rng = np.random.default_rng(14)
-    L = sk.build_manifold(sphere_quad, _frame(rng), "ray")
+    L = sk.build_manifold(sphere_quad, *_anchor(rng), *COEFFICIENT_PRESETS["ray"])
     with pytest.raises(OffManifoldError):
         L.value(np.array([1.1, 0.0, 0.0]))
 
@@ -317,8 +350,7 @@ def test_sphere_saddle_is_constrained_minimizer(sphere_quad):
     proj = tangent_projector(sp)
     modes = sk.min_modes(sphere_quad, sp, m=1, tol=1e-13, basis=proj.basis)
     for variant in ("hyperplane", "ray", "mix"):
-        f = sphere_frame(sp, modes.eigenvectors[:, 0])
-        L = sk.build_manifold(sphere_quad, f, variant)
+        L = sk.build_manifold(sphere_quad, sp, modes.eigenvectors[:, 0], *COEFFICIENT_PRESETS[variant])
         # the anchor is a constrained stationary point of the objective
         assert np.linalg.norm(proj(L.gradient(sp))) < 1e-12
         # and a strict local minimizer: solving from a tangent offset returns
@@ -329,9 +361,9 @@ def test_sphere_saddle_is_constrained_minimizer(sphere_quad):
 
 def test_sphere_naive_gradient_fd(sphere_quad):
     rng = np.random.default_rng(15)
-    f = _frame(rng)
-    L = sk.build_sphere_naive(sphere_quad, f)
-    y = f.x + 1e-5 * rng.standard_normal(3)
+    x, v = _anchor(rng)
+    L = sk.build_sphere_naive(sphere_quad, x, v)
+    y = x + 1e-5 * rng.standard_normal(3)
     y /= np.linalg.norm(y)
     g = L.gradient(y)
     gfd = np.empty(3)
@@ -348,14 +380,14 @@ def test_sphere_naive_point_on_mode_great_circle(sphere_quad):
     # angle atan(v.(y-x)): a reparametrisation, not a curvature-blind point
     rng = np.random.default_rng(16)
     for _ in range(200):
-        f = _frame(rng)
-        L = sk.build_sphere_naive(sphere_quad, f)
+        x, v = _anchor(rng)
+        L = sk.build_sphere_naive(sphere_quad, x, v)
         y = rng.standard_normal(3)
         y /= np.linalg.norm(y)
-        theta = np.arctan(f.v @ (y - f.x))
+        theta = np.arctan(v @ (y - x))
         (term,) = L.terms
         xi = term.point(y)
-        expect = np.cos(theta) * f.x + np.sin(theta) * f.v
+        expect = np.cos(theta) * x + np.sin(theta) * v
         assert np.linalg.norm(xi - expect) <= 1e-14
 
 
@@ -406,7 +438,7 @@ def _objective(kind, seed, flip=False):
     x = rng.standard_normal(3)
     x /= np.linalg.norm(x)
     v = rng.standard_normal(3)
-    frame = sphere_frame(x, -v if flip else v)
+    v = -v if flip else v
     t = rng.standard_normal(3)
     t -= (t @ x) * x
     t /= np.linalg.norm(t)
@@ -415,8 +447,8 @@ def _objective(kind, seed, flip=False):
     y /= np.linalg.norm(y)
     tangents = np.linalg.svd(np.eye(3) - np.outer(y, y))[0][:, :2]
     if kind == "naive":
-        return sk.build_sphere_naive(p, frame), y, tangents, u
-    return sk.build_manifold(p, frame, kind), y, tangents, u
+        return sk.build_sphere_naive(p, x, v), y, tangents, u
+    return sk.build_manifold(p, x, v, *COEFFICIENT_PRESETS[kind]), y, tangents, u
 
 
 @_PROPERTY

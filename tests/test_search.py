@@ -147,6 +147,17 @@ def test_non_finite_gradient_ends_run_as_failed(x0, message):
     assert (rec.status, rec.message) == ("failed", message)
 
 
+def test_non_finite_hessian_product_ends_run_as_failed():
+    # finite energy and gradient, NaN second derivatives: the eigensolver
+    # refuses the products instead of feeding them to its SVD
+    h = np.array([-1.0, 2.0])
+    p = sk.PotentialModel("nan_hvp", 2, lambda x: 0.5 * float(x @ (h * x)), lambda x: h * x,
+                          lambda x, u: np.full(2, np.nan))
+    rec = sk.run(p, np.array([0.3, 0.2]), sk.SearchConfig(max_outer_iters=5))
+    assert (rec.status, rec.message) == (
+        "failed", "outer iteration 1: non-finite Hessian-vector product")
+
+
 def test_adaptive_sum_converges(three_hole):
     sp = three_hole.stationary_points[0][0]
     cfg = sk.SearchConfig(alpha=1.0, beta=1.0, adaptive_sum=True, eig_tol=1e-12,
