@@ -1,13 +1,15 @@
-"""Smallest Hessian eigenpairs, matrix-free, plus a dense verification oracle.
+"""Smallest Hessian eigenpairs by blocked products, plus a dense verification oracle.
 
 The iterative solver is a blocked Rayleigh-quotient minimization with
-locally optimal conjugate directions (LOBPCG-style) driven entirely by
-Hessian-vector products, so it never forms the Hessian.  An optional
-tangent restriction solves the eigenproblem inside the span of an
-orthonormal basis, which keeps constrained eigenvectors exactly in the
-tangent space.  One routine turns products into matrices, ``H U`` or
-``B^T H B U``: the solver applies it to its blocks and ``dense_hessian``
-to the identity.
+locally optimal conjugate directions (LOBPCG-style) that sees the Hessian
+only through block products ``H U``.  An optional tangent restriction
+solves the eigenproblem inside the span of an orthonormal basis, which
+keeps constrained eigenvectors exactly in the tangent space.  One routine
+supplies the products at a point, ``H U`` or ``B^T H B U``: from the
+model's assembled Hessian when it has one (``hessian_fn``), assembled once
+per point, and otherwise one Hessian-vector product per column.  The
+solver applies it to its blocks, and ``dense_hessian`` takes the matrix
+itself from it.
 """
 
 from dataclasses import dataclass
@@ -73,6 +75,10 @@ def min_modes(p, x, m=1, v0=None, tol=1e-10, basis=None, max_iters=1000,
               guard=None) -> MinModeResult:
     """Compute the ``m`` smallest eigenpairs of the Hessian of ``p`` at ``x``.
 
+    A model with ``hessian_fn`` is assembled once per call and its blocks
+    are matrix products; otherwise every column costs one Hessian-vector
+    product.
+
     Parameters
     ----------
     v0 : optional warm-start vector(s), shape (d,) or (d, m).
@@ -102,8 +108,10 @@ def min_modes(p, x, m=1, v0=None, tol=1e-10, basis=None, max_iters=1000,
             raise ValueError(f"basis must be a matrix with {d} rows, got shape {basis.shape}")
         n = basis.shape[1]
 
+    products = _hessian_products(p, x, basis)
+
     def apply_h(U):
-        HU = _hessian_products(p, x, U, basis)
+        HU = products(U)
         if not np.all(np.isfinite(HU)):
             raise EigensolveError("non-finite Hessian-vector product")
         return HU
@@ -236,45 +244,58 @@ def _unit_vectors(n):
         e[i] = 0.0
 
 
-def _hessian_products(p, x, U=None, basis=None) -> np.ndarray:
-    """``H U``, one Hessian-vector product per column, or ``B^T H B U`` for an
-    orthonormal ``basis`` B (d, k); ``U`` defaults to the identity."""
+def _hessian_products(p, x, basis=None):
+    """The Hessian of ``p`` at ``x`` as a block product ``U -> H U``, or
+    ``U -> B^T H B U`` for an orthonormal ``basis`` B (d, k).
+
+    Called without ``U``, the product returns the symmetric matrix itself.
+    A model with ``hessian_fn`` is assembled here, once, so every block
+    costs one matrix product.  Otherwise each column costs one
+    Hessian-vector product, and the matrix is the symmetrized product with
+    the identity.
+    """
+    if getattr(p, "hessian_fn", None) is not None:
+        H = np.asarray(p.hessian_fn(x), dtype=float)
+        if basis is not None:
+            H = basis.T @ H @ basis
+            H = 0.5 * (H + H.T)
+        return lambda U=None: H if U is None else H @ U
+
     n = p.dimension if basis is None else basis.shape[1]
-    HU = np.empty((n, n if U is None else U.shape[1]))
-    for i, u in enumerate(_unit_vectors(n) if U is None else U.T):
-        if basis is None:
-            HU[:, i] = p.hessian_vec(x, u)
-        else:
-            HU[:, i] = basis.T @ p.hessian_vec(x, basis @ u)
-    return HU
+
+    def products(U=None):
+        HU = np.empty((n, n if U is None else U.shape[1]))
+        for i, u in enumerate(_unit_vectors(n) if U is None else U.T):
+            if basis is None:
+                HU[:, i] = p.hessian_vec(x, u)
+            else:
+                HU[:, i] = basis.T @ p.hessian_vec(x, basis @ u)
+        return 0.5 * (HU + HU.T) if U is None else HU
+
+    return products
 
 
 def dense_hessian(p, x, cap=1000, basis=None) -> np.ndarray:
-    """Assemble the symmetrized Hessian (``B^T H B`` for an orthonormal
-    ``basis`` B) column-by-column from products."""
+    """The symmetric Hessian (``B^T H B`` for an orthonormal ``basis`` B):
+    the model's assembled matrix when it has ``hessian_fn``, else
+    symmetrized columns of Hessian-vector products."""
     x = np.asarray(x, dtype=float)
     d = p.dimension
     if d > cap:
         raise ValueError(f"dense Hessian capped at dimension {cap}, model has {d}")
-    H = _hessian_products(p, x, basis=basis)
-    return 0.5 * (H + H.T)
+    return _hessian_products(p, x, basis)()
 
 
 def dense_eigensolve(p, x, cap=1000) -> Spectrum:
-    """Full ascending spectrum via an explicitly assembled Hessian.
-
-    Builds the matrix column-by-column from Hessian-vector products against
-    basis vectors, symmetrizes, and runs a dense symmetric eigendecomposition.
-    Intended as a test oracle and for stationary-point classification.
-    """
+    """Full ascending spectrum of ``dense_hessian`` by a dense symmetric
+    eigendecomposition: the test oracle for ``min_modes``."""
     evals, evecs = np.linalg.eigh(dense_hessian(p, x, cap=cap))
     return Spectrum(evals, evecs)
 
 
 def stationary_index(p, x, cap=1000) -> int:
     """Number of negative Hessian eigenvalues at ``x`` (0 = minimum)."""
-    evals, _ = dense_eigensolve(p, x, cap=cap)
-    return count_negative(evals)
+    return count_negative(np.linalg.eigvalsh(dense_hessian(p, x, cap=cap)))
 
 
 def count_negative(evals) -> int:

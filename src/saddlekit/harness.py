@@ -660,7 +660,8 @@ def run_invariant_checks(include_cluster=True, verbose=False) -> list:
 
     Returns a list of (name, passed, detail) covering: gradient and
     Hessian-action finite-difference agreement, Hessian symmetry and
-    linearity, mode-sign invariance of the objective, tangent-projector
+    linearity, an assembled Hessian (``hessian_fn``) against the Hessian
+    action, mode-sign invariance of the objective, tangent-projector
     idempotence, anchor stationarity transfer, and geodesic-projection
     optimality against a brute-force sweep.
     """
@@ -710,6 +711,13 @@ def run_invariant_checks(include_cluster=True, verbose=False) -> list:
             - 0.3 * p.hessian_vec(x, u) - 1.7 * p.hessian_vec(x, w)
         )
         check(f"{name}: hessian action is linear", lin / scale < 1e-12, f"defect={lin:.2e}")
+
+        if p.hessian_fn is not None:
+            H = p.hessian_fn(x)
+            HU = np.column_stack([hu, p.hessian_vec(x, w)])
+            rel = np.linalg.norm(H @ np.column_stack([u, w]) - HU) / max(1e-12, np.linalg.norm(HU))
+            check(f"{name}: assembled Hessian matches Hessian-vector products",
+                  rel < 1e-12 and np.array_equal(H, H.T), f"rel={rel:.2e}")
 
     # mode-sign invariance and stationarity transfer on the three-hole surface
     p = make_builtin("three_hole")

@@ -3,7 +3,8 @@
 Every surface exposes energy, gradient and Hessian-vector products through
 :class:`PotentialModel`.  The four builtins are a 2-d double well, a 2-d
 three-hole surface, a 3-d axis-aligned quadratic (used on the unit sphere),
-and a Morse-potential adatom island on an FCC(111) slab.
+and a Morse-potential adatom island on an FCC(111) slab, which also
+assembles its Hessian.
 """
 
 import math
@@ -11,7 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DimensionError, ModelRegionError
+from .errors import DimensionError
 
 __all__ = [
     "PotentialModel",
@@ -42,6 +43,9 @@ class PotentialModel:
     gradient_fn: callable
     hessian_vec_fn: callable = None
     hessian_diag_fn: callable = None  # optional preconditioner hint
+    # optional assembled Hessian, x -> (d, d) symmetric array; when set, the
+    # eigensolver and the index check take products from it (see eigen)
+    hessian_fn: callable = None
     stationary_points: tuple = ()
     extras: dict = field(default_factory=dict)
 
@@ -363,13 +367,24 @@ def build_morse_lattice(spec: MorseClusterSpec = None):
     return np.array(coords, dtype=float), np.array(frozen, dtype=bool)
 
 
+# Verlet skin in Angstrom (Verlet 1967): the pair list holds every pair
+# within rc + skin of the geometry it was built at, and is rebuilt once any
+# free atom has moved more than skin / 2 from there, so no pair can reach
+# the cutoff unlisted
+_VERLET_SKIN = 1.0
+
+
 def _morse_island(spec: MorseClusterSpec = None) -> PotentialModel:
     if spec is None:
         spec = MorseClusterSpec()
     base, frozen = build_morse_lattice(spec)
     n_atoms = len(base)
     free_idx = np.flatnonzero(~frozen)
-    dim = 3 * len(free_idx)
+    n_free = len(free_idx)
+    dim = 3 * n_free
+    # position of each atom among the free atoms, -1 for frozen ones
+    free_pos = np.full(n_atoms, -1)
+    free_pos[free_idx] = np.arange(n_free)
 
     iu, ju = np.triu_indices(n_atoms, 1)
     # frozen-frozen pairs never move: fold their energy into a constant
@@ -377,48 +392,45 @@ def _morse_island(spec: MorseClusterSpec = None) -> PotentialModel:
     ia, ja = iu[~static], ju[~static]
     rc = spec.rc
 
-    # interaction list pruned on the reference geometry: pairs farther than
-    # rc + margin can only enter the cutoff if atoms move more than margin/2,
-    # which the assembly guard rejects (saddle hops displace atoms ~2 A)
-    margin = 6.0
-    ref_d = np.linalg.norm(base[ia] - base[ja], axis=1)
-    keep = ref_d < rc + margin
-    ia, ja = ia[keep], ja[keep]
-
     if static.any():
         r = np.linalg.norm(base[iu[static]] - base[ju[static]], axis=1)
         e_static = float(np.sum(_morse_pair_terms(r[r < rc], spec)[0]))
     else:
         e_static = 0.0
 
-    base_free = base[free_idx]
+    def _verlet_list(full):
+        """Pairs within rc + skin of ``full`` in triu order, and the free atoms' positions."""
+        dvec = full[ia] - full[ja]
+        keep = np.einsum("ij,ij->i", dvec, dvec) < (rc + _VERLET_SKIN) ** 2
+        return ia[keep], ja[keep], full[free_idx]
 
-    def _assemble(x):
-        xa = x.reshape(-1, 3)
-        disp = np.sqrt(np.max(np.sum((xa - base_free) ** 2, axis=1)))
-        if disp > 0.5 * margin:
-            raise ModelRegionError(
-                f"atom moved {disp:.2f} A from the reference geometry, beyond "
-                f"the {0.5 * margin:.2f} A validity radius of the pruned "
-                "interaction list"
-            )
-        full = base.copy()
-        full[free_idx] = xa
-        return full
+    # one tuple, replaced whole on a rebuild
+    verlet = _verlet_list(base)
 
     def _separations(x):
-        """Vectors and lengths of the listed pairs at x, and the cutoff mask."""
-        full = _assemble(x)
-        dvec = full[ia] - full[ja]
+        """Listed pairs at x: atom indices, vectors, lengths and the cutoff mask.
+
+        The pairs inside the cutoff, and their order, do not depend on where
+        the list was built, so neither do the values computed from them.
+        """
+        nonlocal verlet
+        xa = x.reshape(-1, 3)
+        full = base.copy()
+        full[free_idx] = xa
+        i, j, built_at = verlet
+        if np.max(np.sum((xa - built_at) ** 2, axis=1)) > (0.5 * _VERLET_SKIN) ** 2:
+            verlet = _verlet_list(full)
+            i, j, _ = verlet
+        dvec = full[i] - full[j]
         r = np.sqrt(np.einsum("ij,ij->i", dvec, dvec))
-        return dvec, r, r < rc
+        return i, j, dvec, r, r < rc
 
     def _pairs(x):
         """Pairs inside the cutoff: atom indices, vectors, lengths, phi', phi''."""
-        dvec, r, m = _separations(x)
+        i, j, dvec, r, m = _separations(x)
         rm = r[m]
         _, dphi, ddphi = _morse_pair_terms(rm, spec)
-        return ia[m], ja[m], dvec[m], rm, dphi, ddphi
+        return i[m], j[m], dvec[m], rm, dphi, ddphi
 
     def _scatter(i, j, vals, combine):
         """combine(sums of pair rows at atom i, sums at atom j), free coordinates."""
@@ -429,7 +441,7 @@ def _morse_island(spec: MorseClusterSpec = None) -> PotentialModel:
         return out[free_idx].ravel()
 
     def energy(x):
-        _, r, m = _separations(x)
+        _, _, _, r, m = _separations(x)
         phi, _, _ = _morse_pair_terms(r[m], spec)
         return float(phi.sum()) + e_static
 
@@ -455,6 +467,29 @@ def _morse_island(spec: MorseClusterSpec = None) -> PotentialModel:
         dd = (ddphi - tang)[:, None] * rhat * rhat + tang[:, None]
         return _scatter(i, j, dd, np.add)
 
+    def hessian(x):
+        i, j, dm, rm, dphi, ddphi = _pairs(x)
+        rhat = dm / rm[:, None]
+        tang = dphi / rm
+        # pair block K = (phi'' - phi'/r) rr^T + (phi'/r) I, with rr^T formed
+        # before it is scaled so that every block, and H, is exactly symmetric
+        rr = rhat[:, :, None] * rhat[:, None, :]
+        K = (ddphi - tang)[:, None, None] * rr + tang[:, None, None] * np.eye(3)
+        H = np.zeros((n_free, 3, n_free, 3))
+        # an atom's diagonal block sums the blocks of the pairs it is in
+        flat = K.reshape(-1)
+        cells = np.arange(9)
+        sums = (np.bincount((9 * i[:, None] + cells).ravel(), flat, 9 * n_atoms)
+                + np.bincount((9 * j[:, None] + cells).ravel(), flat, 9 * n_atoms))
+        f = np.arange(n_free)
+        H[f, :, f, :] = sums.reshape(n_atoms, 3, 3)[free_idx]
+        # a free-free pair occurs once in the list: its blocks are -K both ways
+        both = (free_pos[i] >= 0) & (free_pos[j] >= 0)
+        fi, fj, Kf = free_pos[i[both]], free_pos[j[both]], K[both]
+        H[fi, :, fj, :] = -Kf
+        H[fj, :, fi, :] = -Kf
+        return H.reshape(dim, dim)
+
     return PotentialModel(
         name="morse_island",
         dimension=dim,
@@ -462,6 +497,7 @@ def _morse_island(spec: MorseClusterSpec = None) -> PotentialModel:
         gradient_fn=gradient,
         hessian_vec_fn=hess_vec,
         hessian_diag_fn=hess_diag,
+        hessian_fn=hessian,
         extras={
             "spec": spec,
             "coords": base,

@@ -38,7 +38,8 @@ __all__ = [
 ]
 
 # largest dimension whose converged terminal point run() classifies: the
-# check assembles the Hessian from d products and diagonalizes it densely
+# check takes the dense Hessian (the model's assembled matrix, or d
+# Hessian-vector products without one) and its eigenvalues
 INDEX_MAX_DIMENSION = 1000
 
 

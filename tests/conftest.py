@@ -1,3 +1,6 @@
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -23,6 +26,13 @@ def sphere_quad():
 @pytest.fixture(scope="session")
 def morse():
     return sk.make_builtin("morse_island")
+
+
+@pytest.fixture(scope="session")
+def morse_saddle():
+    """A verified index-1 saddle of the default Morse island, stored with the benchmark."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "morse_saddle.json"
+    return np.asarray(json.loads(path.read_text())["x"], dtype=float)
 
 
 def make_index2_cubic(l1=-0.8, l2=-0.5, l3=2.0, c1=0.3, c2=0.4, c3=0.2, c4=0.25):

@@ -1,8 +1,11 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
 import saddlekit as sk
 from saddlekit.errors import EigensolveError
+from saddlekit import manifold
 from saddlekit.manifold import tangent_projector
 
 
@@ -100,6 +103,23 @@ def test_projected_min_mode_random_tangent_plane(sphere_quad):
     assert np.allclose(res.eigenvalues, evals, atol=1e-9)
 
 
+def test_assembled_hessian_in_a_tangent_basis_matches_products(sphere_quad):
+    # an assembled model restricted to a tangent basis: the same symmetric
+    # B^T H B, the same modes and the same intrinsic index as from products
+    assembled = dataclasses.replace(sphere_quad, hessian_fn=lambda x: np.diag([2.0, 4.0, 6.0]))
+    rng = np.random.default_rng(5)
+    x = rng.standard_normal(3)
+    x /= np.linalg.norm(x)
+    B = tangent_projector(x).basis
+    Hk = sk.dense_hessian(assembled, x, basis=B)
+    np.testing.assert_array_equal(Hk, Hk.T)
+    assert np.abs(Hk - sk.dense_hessian(sphere_quad, x, basis=B)).max() <= 1e-14
+    got = sk.min_modes(assembled, x, m=2, tol=1e-12, basis=B)
+    ref = sk.min_modes(sphere_quad, x, m=2, tol=1e-12, basis=B)
+    assert np.allclose(got.eigenvalues, ref.eigenvalues, atol=1e-12)
+    assert manifold.constrained_index(assembled, x) == manifold.constrained_index(sphere_quad, x)
+
+
 def test_nonconvergence_carries_best_result():
     rng = np.random.default_rng(0)
     Q, _ = np.linalg.qr(rng.standard_normal((80, 80)))
@@ -127,6 +147,19 @@ def test_too_many_modes(double_well2):
 def test_stationary_index_classification(three_hole):
     for q, idx in three_hole.stationary_points:
         assert sk.stationary_index(three_hole, q) == idx
+
+
+@pytest.mark.parametrize("amp", [0.0, 0.05])
+def test_morse_min_mode_from_assembled_hessian_matches_products(morse, morse_saddle, amp):
+    # at and near the stored saddle, at the benchmark's eigensolver tolerance
+    x = morse_saddle + amp * np.random.default_rng(31).standard_normal(morse_saddle.size)
+    products_only = dataclasses.replace(morse, hessian_fn=None)
+    got = sk.min_modes(morse, x, m=1, tol=1e-9)
+    ref = sk.min_modes(products_only, x, m=1, tol=1e-9)
+    lam = ref.eigenvalues[0]
+    assert abs(got.eigenvalues[0] - lam) <= 1e-10 * max(1.0, abs(lam))
+    assert abs(got.eigenvectors[:, 0] @ ref.eigenvectors[:, 0]) >= 1.0 - 1e-10
+    assert got.iterations == ref.iterations
 
 
 

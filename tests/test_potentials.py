@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -253,11 +254,50 @@ def test_potential_is_an_inner_solver_objective(three_hole, morse):
     np.testing.assert_array_equal(morse.precondition_diag(xm), morse.hessian_diag_fn(xm))
 
 
-def test_morse_displacement_guard(morse):
+def test_morse_values_do_not_depend_on_where_the_pair_list_was_built():
+    # one model walks to x in 0.18 A steps, rebuilding its pair list on the
+    # way; a fresh one rebuilds once, at x: the pairs inside the cutoff and
+    # their order, and so every value, must be the same
+    walked = sk.make_builtin("morse_island")
+    x0 = walked.extras["coords"][~walked.extras["frozen"]].ravel()
+    rng = np.random.default_rng(23)
+    x = x0 + 0.05 * rng.standard_normal(x0.size)
+    x[-21:] += np.tile([1.2, -0.8, 0.3], 7)  # the island hops ~1.5 A
+    for t in np.linspace(0.0, 1.0, 9):
+        walked.energy(x0 + t * (x - x0))
+    fresh = sk.make_builtin("morse_island")
+    u = rng.standard_normal(x0.size)
+    assert walked.energy(x) == fresh.energy(x)
+    np.testing.assert_array_equal(walked.gradient(x), fresh.gradient(x))
+    np.testing.assert_array_equal(walked.hessian_vec(x, u), fresh.hessian_vec(x, u))
+    np.testing.assert_array_equal(walked.hessian_fn(x), fresh.hessian_fn(x))
+
+
+def test_morse_energy_after_a_long_move_counts_every_pair(morse):
+    # an atom moved 10 A meets pairs its first pair list never held
     x = morse.extras["coords"][~morse.extras["frozen"]].ravel().copy()
     x[0] += 10.0
-    with pytest.raises(ValueError):
-        morse.energy(x)
+    full = morse_full_coordinates(morse, x)
+    spec = morse.extras["spec"]
+    direct = sum(morse_pair_energy(np.linalg.norm(full[i] - full[j]), spec)
+                 for i in range(len(full)) for j in range(i + 1, len(full)))
+    assert abs(morse.energy(x) - direct) <= 1e-9
+
+
+@pytest.mark.parametrize("where", ["lattice", "saddle", "perturbed", "far"])
+def test_morse_assembled_hessian_matches_products(morse, morse_saddle, where):
+    x = morse.extras["coords"][~morse.extras["frozen"]].ravel()
+    if where == "saddle":
+        x = morse_saddle
+    elif where != "lattice":
+        amp = 0.05 if where == "perturbed" else 0.3
+        x = x + amp * np.random.default_rng(29).standard_normal(x.size)
+    H = morse.hessian_fn(x)
+    ref = sk.dense_hessian(dataclasses.replace(morse, hessian_fn=None), x)  # from products
+    assert H.shape == (morse.dimension, morse.dimension)
+    np.testing.assert_array_equal(H, H.T)
+    assert np.abs(H - ref).max() <= 1e-12 * np.abs(ref).max()
+    np.testing.assert_array_equal(sk.dense_hessian(morse, x), H)
 
 
 def test_xyz_roundtrip(tmp_path, morse):

@@ -5,7 +5,7 @@ import pytest
 
 import saddlekit as sk
 from saddlekit import eigen, manifold
-from saddlekit.errors import OrderEstimateError, SubsolveError
+from saddlekit.errors import ModelRegionError, OrderEstimateError, SubsolveError
 from saddlekit.search import INDEX_MAX_DIMENSION, estimate_order, estimate_order_pooled
 from saddlekit.subsolve import SubsolveConfig
 
@@ -71,17 +71,28 @@ def test_left_region_status(three_hole):
     assert rec.status == "left_region"
 
 
-def test_leaving_the_model_region_ends_run_as_left_region(morse):
-    # a 4 A trust box lets the first inner solve move an atom past the
-    # Morse island's 3 A validity radius
-    x0 = morse.extras["coords"][~morse.extras["frozen"]].ravel().copy()
+def test_leaving_the_model_region_ends_run_as_left_region():
+    # a convex well that is only defined for |x|_inf <= 1: from a convex
+    # anchor the first inner solve walks to the 4.0 trust box and past the
+    # edge of the region, where the model raises
+    h = np.array([1.0, 2.0])
+
+    def checked(f):
+        def g(x):
+            if np.abs(x).max() > 1.0:
+                raise ModelRegionError(f"{x} lies outside the model's region |x|_inf <= 1")
+            return f(x)
+        return g
+
+    p = sk.PotentialModel("bounded_well", 2, checked(lambda x: 0.5 * float(x @ (h * x))),
+                          checked(lambda x: h * x), lambda x, u: h * u)
     cfg = sk.SearchConfig(alpha=0.0, beta=2.0, grad_tol=1e-8, eig_tol=1e-6,
                           subsolve=SubsolveConfig(grad_tol=1e-8, max_inner_iters=50,
                                                   box_radius=4.0),
                           max_outer_iters=3)
-    rec = sk.run(morse, x0, cfg)
+    rec = sk.run(p, np.array([0.3, 0.2]), cfg)
     assert rec.status == "left_region"
-    assert "validity radius" in rec.message
+    assert "outside the model's region" in rec.message
 
 
 def test_sphere_inner_solve_error_names_outer_iteration(sphere_quad, monkeypatch):
@@ -148,14 +159,19 @@ def test_non_finite_gradient_ends_run_as_failed(x0, message):
 
 
 def test_non_finite_hessian_product_ends_run_as_failed():
-    # finite energy and gradient, NaN second derivatives: the eigensolver
-    # refuses the products instead of feeding them to its SVD
+    # finite energy and gradient, NaN second derivatives (as products, or as
+    # an assembled matrix): the eigensolver refuses the products instead of
+    # feeding them to its SVD
     h = np.array([-1.0, 2.0])
-    p = sk.PotentialModel("nan_hvp", 2, lambda x: 0.5 * float(x @ (h * x)), lambda x: h * x,
-                          lambda x, u: np.full(2, np.nan))
-    rec = sk.run(p, np.array([0.3, 0.2]), sk.SearchConfig(max_outer_iters=5))
-    assert (rec.status, rec.message) == (
-        "failed", "outer iteration 1: non-finite Hessian-vector product")
+    nan_hvp = sk.PotentialModel("nan_hvp", 2, lambda x: 0.5 * float(x @ (h * x)),
+                                lambda x: h * x, lambda x, u: np.full(2, np.nan))
+    nan_hessian = sk.PotentialModel("nan_hessian", 2, lambda x: 0.5 * float(x @ (h * x)),
+                                    lambda x: h * x, lambda x, u: h * u,
+                                    hessian_fn=lambda x: np.full((2, 2), np.nan))
+    for p in (nan_hvp, nan_hessian):
+        rec = sk.run(p, np.array([0.3, 0.2]), sk.SearchConfig(max_outer_iters=5))
+        assert (rec.status, rec.message) == (
+            "failed", "outer iteration 1: non-finite Hessian-vector product")
 
 
 def test_adaptive_sum_converges(three_hole):
