@@ -10,6 +10,7 @@ import yaml
 
 from .harness import (
     BENCH_PRESETS,
+    FIG2_GRID,
     bench,
     doa_scan,
     load_config,
@@ -29,8 +30,9 @@ def _cmd_run(args):
     return 0 if summary["all_converged"] else 1
 
 
-_DOA_KEYS = ("problem", "problem_params", "method", "region", "n", "budget", "box",
-             "saddle_tol", "workers", "label")
+# keys passed to doa_scan only when the config sets them, so its defaults hold
+_DOA_OPTIONS = ("budget", "box", "saddle_tol", "workers")
+_DOA_KEYS = ("problem", "problem_params", "method", "region", "n", "label", *_DOA_OPTIONS)
 
 
 def _cmd_doa(args):
@@ -41,17 +43,14 @@ def _cmd_doa(args):
     unknown = sorted(set(raw) - set(_DOA_KEYS))
     if unknown:
         raise ValueError(f"unknown doa config keys: {unknown}")
-    region = tuple(tuple(map(float, b)) for b in raw.get("region", ((-1.5, 1.5), (-1.5, 2.0))))
+    region, n = FIG2_GRID
     grid = doa_scan(
         raw.get("problem", "three_hole"),
         raw.get("method", "imf"),
-        region,
-        int(raw.get("n", 50)),
-        budget=int(raw.get("budget", 200)),
-        box=float(raw.get("box", 0.25)),
-        saddle_tol=float(raw.get("saddle_tol", 1e-3)),
+        tuple(tuple(map(float, b)) for b in raw.get("region", region)),
+        int(raw.get("n", n)),
         params=raw.get("problem_params"),
-        workers=raw.get("workers"),
+        **{key: raw[key] for key in _DOA_OPTIONS if key in raw},
     )
     os.makedirs(args.output, exist_ok=True)
     label = raw.get("label", f"doa_{grid.method}")

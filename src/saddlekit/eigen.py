@@ -19,7 +19,16 @@ import numpy as np
 
 from .errors import EigensolveError
 
+# largest dimension whose Hessian is formed densely: the index of a
+# stationary point takes the whole matrix and its eigenvalues
+INDEX_MAX_DIMENSION = 1000
+# min_modes: iteration budget, and the block vectors carried beyond the m
+# wanted ones for convergence speed on clustered spectra
+MAX_ITERS = 1000
+GUARD = 2
+
 __all__ = [
+    "INDEX_MAX_DIMENSION",
     "MinModeResult",
     "Spectrum",
     "min_modes",
@@ -71,8 +80,7 @@ def _orthonormalize_with_image(M, HM, drop_tol=1e-12):
     return U[:, keep], HM @ T
 
 
-def min_modes(p, x, m=1, v0=None, tol=1e-10, basis=None, max_iters=1000,
-              guard=None) -> MinModeResult:
+def min_modes(p, x, m=1, v0=None, tol=1e-10, basis=None) -> MinModeResult:
     """Compute the ``m`` smallest eigenpairs of the Hessian of ``p`` at ``x``.
 
     A model with ``hessian_fn`` is assembled once per call and its blocks
@@ -87,14 +95,13 @@ def min_modes(p, x, m=1, v0=None, tol=1e-10, basis=None, max_iters=1000,
     basis : optional tangent restriction, a (d, k) matrix with orthonormal
         columns.  Eigenpairs are computed for the Hessian restricted to the
         basis span and returned in ambient coordinates.
-    guard : extra block vectors carried for convergence speed on clustered
-        spectra (default 2 where the dimension allows).
 
     Raises
     ------
     EigensolveError
-        On a non-finite Hessian-vector product, or on non-convergence; in
-        the latter case the best result so far rides on ``.result``.
+        On a non-finite Hessian-vector product, or when the residual target
+        is missed, within ``MAX_ITERS`` iterations or because the search
+        space is exhausted; then the best result so far rides on ``.result``.
     """
     x = np.asarray(x, dtype=float)
     d = p.dimension
@@ -118,9 +125,7 @@ def min_modes(p, x, m=1, v0=None, tol=1e-10, basis=None, max_iters=1000,
 
     if m < 1 or m > n:
         raise ValueError(f"requested {m} modes from a {n}-dimensional eigenproblem")
-    if guard is None:
-        guard = min(2, n - m)
-    b = min(m + max(0, guard), n)
+    b = min(m + GUARD, n)
 
     # Jacobi preconditioner from the potential's Hessian diagonal (ambient
     # eigenproblems only); shifted toward the current Ritz value on the fly
@@ -149,7 +154,17 @@ def min_modes(p, x, m=1, v0=None, tol=1e-10, basis=None, max_iters=1000,
     scale = 1.0
     best = None
     gap_est = np.inf
-    for it in range(1, max_iters + 1):
+
+    def missed(why):
+        theta_m, X_m, resn, it = best
+        vecs = basis @ X_m if basis is not None else X_m
+        partial = MinModeResult(theta_m, vecs, resn, it, gap_est < 1e-8 * scale)
+        return EigensolveError(
+            f"min-mode iteration did not reach tol={tol:g} {why} (residuals {resn})",
+            result=partial,
+        )
+
+    for it in range(1, MAX_ITERS + 1):
         G = X.T @ HX
         G = 0.5 * (G + G.T)
         theta, C = np.linalg.eigh(G)
@@ -190,7 +205,7 @@ def min_modes(p, x, m=1, v0=None, tol=1e-10, basis=None, max_iters=1000,
         W = _orthonormalize(W[:, np.linalg.norm(W, axis=0) > 1e-10 * w_norms])
         if W.shape[1] == 0:
             if P is None:
-                break  # invariant subspace reached
+                raise missed(f"before its search space was exhausted at iteration {it}")
             S, HS = X, HX
         else:
             HW = apply_h(W)
@@ -216,14 +231,7 @@ def min_modes(p, x, m=1, v0=None, tol=1e-10, basis=None, max_iters=1000,
             if P is not None:
                 HP = apply_h(P)
     else:
-        theta_m, X_m, resn, it = best
-        vecs = basis @ X_m if basis is not None else X_m
-        partial = MinModeResult(theta_m, vecs, resn, it, gap_est < 1e-8 * scale)
-        raise EigensolveError(
-            f"min-mode iteration did not reach tol={tol:g} within {max_iters} "
-            f"iterations (residuals {resn})",
-            result=partial,
-        )
+        raise missed(f"within {MAX_ITERS} iterations")
 
     vecs = basis @ X[:, :m] if basis is not None else X[:, :m]
     return MinModeResult(
@@ -275,30 +283,37 @@ def _hessian_products(p, x, basis=None):
     return products
 
 
-def dense_hessian(p, x, cap=1000, basis=None) -> np.ndarray:
+def dense_hessian(p, x, basis=None) -> np.ndarray:
     """The symmetric Hessian (``B^T H B`` for an orthonormal ``basis`` B):
     the model's assembled matrix when it has ``hessian_fn``, else
-    symmetrized columns of Hessian-vector products."""
+    symmetrized columns of Hessian-vector products.  Refused above
+    ``INDEX_MAX_DIMENSION``."""
     x = np.asarray(x, dtype=float)
     d = p.dimension
-    if d > cap:
-        raise ValueError(f"dense Hessian capped at dimension {cap}, model has {d}")
+    if d > INDEX_MAX_DIMENSION:
+        raise ValueError(f"dense Hessian capped at dimension {INDEX_MAX_DIMENSION}, model has {d}")
     return _hessian_products(p, x, basis)()
 
 
-def dense_eigensolve(p, x, cap=1000) -> Spectrum:
+def dense_eigensolve(p, x) -> Spectrum:
     """Full ascending spectrum of ``dense_hessian`` by a dense symmetric
     eigendecomposition: the test oracle for ``min_modes``."""
-    evals, evecs = np.linalg.eigh(dense_hessian(p, x, cap=cap))
+    evals, evecs = np.linalg.eigh(dense_hessian(p, x))
     return Spectrum(evals, evecs)
 
 
-def stationary_index(p, x, cap=1000) -> int:
+def stationary_index(p, x) -> int:
     """Number of negative Hessian eigenvalues at ``x`` (0 = minimum)."""
-    return count_negative(np.linalg.eigvalsh(dense_hessian(p, x, cap=cap)))
+    return count_negative(np.linalg.eigvalsh(dense_hessian(p, x)))
 
 
 def count_negative(evals) -> int:
-    """Number of eigenvalues below ``-1e-8 * max(1, max |lambda|)``."""
+    """Number of eigenvalues below ``-1e-8 * max(1, max |lambda|)``.
+
+    Raises ``EigensolveError`` on a non-finite eigenvalue: the Hessian it
+    came from was not finite, and NaN compares below no threshold.
+    """
+    if not np.all(np.isfinite(evals)):
+        raise EigensolveError("non-finite Hessian")
     thresh = 1e-8 * max(1.0, float(np.abs(evals).max()))
     return int(np.sum(evals < -thresh))

@@ -46,6 +46,7 @@ __all__ = [
     "bench",
     "run_invariant_checks",
     "BENCH_PRESETS",
+    "FIG2_GRID",
 ]
 
 
@@ -61,7 +62,6 @@ class ExperimentConfig:
     problem_params: dict = field(default_factory=dict)
     method: str = "imf"
     search: dict = field(default_factory=dict)
-    subsolve: dict = field(default_factory=dict)
     gad: dict = field(default_factory=dict)
     newton: dict = field(default_factory=dict)
     start: dict = field(default_factory=dict)
@@ -111,7 +111,7 @@ def load_config(path) -> ExperimentConfig:
 
 def _search_config(cfg: ExperimentConfig, reference=None) -> SearchConfig:
     s = dict(cfg.search)
-    sub = {**cfg.subsolve, **s.pop("subsolve", {})}
+    sub = s.pop("subsolve", {})
     for key in ("subset_alpha", "subset_beta"):
         if s.get(key) is not None:
             # a YAML subset key is one mode index or a list of them
@@ -318,13 +318,6 @@ def emit_table(records, path, fmt="markdown"):
         else:
             raise ValueError(f"unknown table format {fmt!r}")
     return path
-
-
-def records_from_table_json(path):
-    """Inverse of ``emit_table(..., fmt='json')``: label -> error list."""
-    with open(path) as fh:
-        data = json.load(fh)
-    return {label: [float(e) for e in errs] for label, errs in data.items()}
 
 
 # ----------------------------------------------------------------------------
@@ -567,6 +560,9 @@ _TABLES = {
     "table5": (_table5, 4),
 }
 BENCH_PRESETS = (*_TABLES, "fig2")
+# (region, n): the fig2 start grid over the three-hole surface, and the
+# grid `saddlekit doa` scans when its config names none
+FIG2_GRID = (((-1.5, 1.5), (-1.5, 2.0)), 50)
 
 
 def _table_seed(preset, seed):
@@ -582,8 +578,7 @@ def preset_runs(preset, seed=None):
 
 def fig2_grids():
     """The fig2 preset's 50x50 attraction grids, keyed by method (imf, newton)."""
-    region = ((-1.5, 1.5), (-1.5, 2.0))
-    return {method: doa_scan("three_hole", method, region, 50) for method in ("imf", "newton")}
+    return {method: doa_scan("three_hole", method, *FIG2_GRID) for method in ("imf", "newton")}
 
 
 def bench(preset, out_dir, seed=None) -> dict:

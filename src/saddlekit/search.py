@@ -14,7 +14,7 @@ import numpy as np
 
 from . import manifold as mf
 from . import objective as obj
-from .eigen import min_modes, stationary_index
+from .eigen import INDEX_MAX_DIMENSION, min_modes, stationary_index
 from .errors import (
     ConvexRegionError,
     EigensolveError,
@@ -36,11 +36,6 @@ __all__ = [
     "estimate_order_pooled",
     "INDEX_MAX_DIMENSION",
 ]
-
-# largest dimension whose converged terminal point run() classifies: the
-# check takes the dense Hessian (the model's assembled matrix, or d
-# Hessian-vector products without one) and its eigenvalues
-INDEX_MAX_DIMENSION = 1000
 
 
 @dataclass(frozen=True, eq=False)
@@ -69,7 +64,9 @@ class SearchConfig:
     ``grad_tol`` is on the infinity norm of the energy gradient (tangent
     gradient on the sphere).  ``reference`` enables error reporting against a
     known saddle.  ``on_sphere`` switches to the great-circle construction
-    with ``sphere_variant`` in {"hyperplane", "ray", "mix", "naive"}.
+    with ``sphere_variant`` in {"hyperplane", "ray", "mix", "naive"}; it
+    targets index-1 saddles with the variant's own coefficients, so it takes
+    neither ``index`` > 1 nor subset coefficients.
     """
 
     alpha: float = 1.0
@@ -84,9 +81,7 @@ class SearchConfig:
     reference: tuple = None
     on_sphere: bool = False
     sphere_variant: str = "ray"
-    adaptive_sum: bool = False
     divergence_radius: float = np.inf
-    domain: tuple = None  # ((lo...), (hi...)) box; leaving it ends the run
     # inner-iteration cap while the anchor is in a convex region: the
     # reversed objective is then unbounded and the solve only walks the
     # trust box, so high precision buys nothing
@@ -95,7 +90,7 @@ class SearchConfig:
     def __post_init__(self):
         if self.index < 1:
             raise ValueError("index must be >= 1")
-        if self.index == 1 and self.subset_alpha is None and self.subset_beta is None:
+        if self.index == 1 and not self._subsets:
             if self.alpha + self.beta <= 1.0:
                 raise ValueError(
                     f"alpha + beta = {self.alpha + self.beta:g} must exceed 1"
@@ -104,42 +99,33 @@ class SearchConfig:
             raise ValueError("tolerances must be positive")
         if self.on_sphere and self.sphere_variant not in ("hyperplane", "ray", "mix", "naive"):
             raise ValueError(f"unknown sphere variant {self.sphere_variant!r}")
+        if self.on_sphere and (self.index != 1 or self._subsets):
+            raise ValueError("on_sphere searches take index 1 and no subset coefficients")
+
+    @property
+    def _subsets(self):
+        return self.subset_alpha is not None or self.subset_beta is not None
+
+
+def _grad_norm(p, x, on_sphere):
+    """Infinity norm of the energy gradient (the tangent gradient on the sphere)."""
+    g = p.gradient(x)
+    if on_sphere:
+        g = mf.tangent_projector(x)(g)
+    return float(np.linalg.norm(g, ord=np.inf))
 
 
 def initial_state(p, x0, cfg: SearchConfig = None) -> SearchState:
     x0 = np.asarray(x0, dtype=float).copy()
-    g = p.gradient(x0)
-    if cfg is not None and cfg.on_sphere:
-        g = mf.tangent_projector(x0)(g)
-    return SearchState(x=x0, grad_norm=float(np.linalg.norm(g, ord=np.inf)))
-
-
-def _coefficients(p, x, cfg, lam, warm):
-    """Effective (alpha, beta), optionally rescaled to 1 + lam2/|lam1|."""
-    alpha, beta = cfg.alpha, cfg.beta
-    if not cfg.adaptive_sum or lam[0] >= 0.0:
-        return alpha, beta
-    try:
-        pair = min_modes(p, x, m=min(2, p.dimension), v0=warm, tol=max(cfg.eig_tol, 1e-6))
-    except EigensolveError as exc:
-        pair = exc.result
-    lam2 = float(pair.eigenvalues[-1])
-    if lam2 <= 0.0:
-        return alpha, beta
-    target = 1.0 + lam2 / abs(float(lam[0]))
-    scale = target / (alpha + beta)
-    return alpha * scale, beta * scale
+    return SearchState(x=x0, grad_norm=_grad_norm(p, x0, cfg is not None and cfg.on_sphere))
 
 
 def step(p, state: SearchState, cfg: SearchConfig) -> SearchState:
     """One outer iteration from ``state.x``; returns the updated state."""
     x = state.x
+    basis = mf.tangent_projector(x).basis if cfg.on_sphere else None
     try:
-        if cfg.on_sphere:
-            basis = mf.tangent_projector(x).basis
-            modes = min_modes(p, x, m=1, v0=state.modes, tol=cfg.eig_tol, basis=basis)
-        else:
-            modes = min_modes(p, x, m=cfg.index, v0=state.modes, tol=cfg.eig_tol)
+        modes = min_modes(p, x, m=cfg.index, v0=state.modes, tol=cfg.eig_tol, basis=basis)
     except EigensolveError as exc:
         raise EigensolveError(
             f"outer iteration {state.outer_iter + 1}: {exc}", result=exc.result
@@ -159,9 +145,8 @@ def step(p, state: SearchState, cfg: SearchConfig) -> SearchState:
                 f"eigenvalue {lam[0]:.3e} > 0, so the reversed objective is "
                 "unbounded below; configure a trust box to proceed"
             )
-        if cfg.index == 1 and cfg.subset_alpha is None and cfg.subset_beta is None:
-            alpha, beta = _coefficients(p, x, cfg, lam, modes.eigenvectors)
-            L = obj.build_flat(p, x, modes.eigenvectors[:, 0], alpha, beta)
+        if cfg.index == 1 and not cfg._subsets:
+            L = obj.build_flat(p, x, modes.eigenvectors[:, 0], cfg.alpha, cfg.beta)
         else:
             L = obj.build_index_m(
                 p, x, modes.eigenvectors, cfg.subset_alpha, cfg.subset_beta
@@ -184,16 +169,12 @@ def step(p, state: SearchState, cfg: SearchConfig) -> SearchState:
         raise SubsolveError(
             f"outer iteration {state.outer_iter + 1}: {exc}", trace=exc.trace
         ) from exc
-    g_new = p.gradient(sol.y)
-    if cfg.on_sphere:
-        g_new = mf.tangent_projector(sol.y)(g_new)
-
     return SearchState(
         x=sol.y,
         modes=modes.eigenvectors,
         eigenvalues=lam,
         outer_iter=state.outer_iter + 1,
-        grad_norm=float(np.linalg.norm(g_new, ord=np.inf)),
+        grad_norm=_grad_norm(p, sol.y, cfg.on_sphere),
         last_step_inf=float(np.linalg.norm(sol.y - x, ord=np.inf)),
         last_inner_iters=sol.inner_iters,
     )
@@ -296,7 +277,8 @@ def run(p, x0, cfg: SearchConfig) -> ConvergenceRecord:
     included.  A step out of the region where the energy model is valid
     ends the run as ``left_region``.  A converged run's terminal point is
     classified by a dense eigensolve into ``terminal_index`` when the
-    dimension is at most ``INDEX_MAX_DIMENSION``; larger runs leave it None.
+    dimension is at most ``INDEX_MAX_DIMENSION``; larger runs leave it None,
+    and a non-finite Hessian there ends the run as ``failed``.
     """
     ref = None if cfg.reference is None else np.asarray(cfg.reference, float)
     record = ConvergenceRecord(reference=ref)
@@ -328,11 +310,6 @@ def run(p, x0, cfg: SearchConfig) -> ConvergenceRecord:
                     f"outer iteration {state.outer_iter}: non-finite gradient at the new point"
                 )
                 break
-            if cfg.domain is not None:
-                lo, hi = (np.asarray(b, float) for b in cfg.domain)
-                if np.any(state.x < lo) or np.any(state.x > hi):
-                    record.status = "left_region"
-                    break
             if np.linalg.norm(state.x) > cfg.divergence_radius:
                 record.status = "diverged"
                 break
@@ -341,10 +318,14 @@ def run(p, x0, cfg: SearchConfig) -> ConvergenceRecord:
                 break
 
     if record.converged and p.dimension <= INDEX_MAX_DIMENSION:
-        if cfg.on_sphere:
-            record.terminal_index = mf.constrained_index(p, record.x)
-        else:
-            record.terminal_index = stationary_index(p, record.x, cap=INDEX_MAX_DIMENSION)
+        try:
+            if cfg.on_sphere:
+                record.terminal_index = mf.constrained_index(p, record.x)
+            else:
+                record.terminal_index = stationary_index(p, record.x)
+        except EigensolveError as exc:
+            record.status = "failed"
+            record.message = f"terminal point: {exc}"
     return record
 
 

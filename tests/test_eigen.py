@@ -5,7 +5,7 @@ import pytest
 
 import saddlekit as sk
 from saddlekit.errors import EigensolveError
-from saddlekit import manifold
+from saddlekit import eigen, manifold
 from saddlekit.manifold import tangent_projector
 
 
@@ -35,9 +35,10 @@ def test_three_hole_saddle_is_index_one(three_hole):
     assert evals[0] < 0 < evals[1]
 
 
-def test_dense_eigensolve_cap(three_hole):
+def test_dense_eigensolve_cap(three_hole, monkeypatch):
+    monkeypatch.setattr(eigen, "INDEX_MAX_DIMENSION", 1)
     with pytest.raises(ValueError):
-        sk.dense_eigensolve(three_hole, np.zeros(2), cap=1)
+        sk.dense_eigensolve(three_hole, np.zeros(2))
 
 
 @pytest.mark.parametrize("name,params", [
@@ -120,17 +121,32 @@ def test_assembled_hessian_in_a_tangent_basis_matches_products(sphere_quad):
     assert manifold.constrained_index(assembled, x) == manifold.constrained_index(sphere_quad, x)
 
 
-def test_nonconvergence_carries_best_result():
+def test_nonconvergence_carries_best_result(monkeypatch):
     rng = np.random.default_rng(0)
     Q, _ = np.linalg.qr(rng.standard_normal((80, 80)))
     evals = np.concatenate([[1.0, 1.0 + 1e-9], np.linspace(2.0, 60.0, 78)])
     p = sk.from_quadratic(Q @ np.diag(evals) @ Q.T)
-    with pytest.raises(EigensolveError) as err:
-        sk.min_modes(p, np.zeros(80), m=1, tol=1e-14, max_iters=2, guard=0)
+    monkeypatch.setattr(eigen, "MAX_ITERS", 2)
+    monkeypatch.setattr(eigen, "GUARD", 0)
+    with pytest.raises(EigensolveError, match="within 2 iterations") as err:
+        sk.min_modes(p, np.zeros(80), m=1, tol=1e-14)
     best = err.value.result
     assert best is not None
     assert best.eigenvalues.shape == (1,)
     assert best.iterations == 2
+
+
+def test_exhausted_search_space_missing_the_target_raises():
+    # a non-symmetric product: one Rayleigh-Ritz step on the spanning block
+    # leaves a residual of 0.15 that no further direction can reduce
+    A = np.array([[-1.0, 0.3], [0.0, 2.0]])
+    p = sk.PotentialModel("skewed", 2, lambda x: 0.5 * float(x @ A @ x),
+                          lambda x: 0.5 * (A + A.T) @ x, lambda x, u: A @ u)
+    with pytest.raises(EigensolveError, match="min-mode iteration did not reach") as err:
+        sk.min_modes(p, np.zeros(2), m=1, tol=1e-10)
+    best = err.value.result
+    assert best.iterations == 1
+    assert best.residual_norms[0] == pytest.approx(0.15)
 
 
 def test_near_degenerate_flag():
@@ -166,9 +182,13 @@ def test_morse_min_mode_from_assembled_hessian_matches_products(morse, morse_sad
 def test_spanning_block_adds_no_roundoff_directions():
     # in 2-d one mode and one guard vector span the space, so with finite-
     # difference products the projected residuals are roundoff, not new
-    # directions (the Hessian's eigenvalues here are -2 and about 660)
+    # directions (the Hessian's eigenvalues here are -2 and about 660).  The
+    # difference Hessian's asymmetry leaves a residual above the target, so
+    # the exhausted solve raises with its one Rayleigh-Ritz result.
     p = sk.PotentialModel("logwell", 2, lambda x: np.log1p(x[0]) ** 2 - x[1] ** 2,
                           lambda x: np.array([2.0 * np.log1p(x[0]) / (1.0 + x[0]), -2.0 * x[1]]))
-    res = sk.min_modes(p, np.array([-0.9, 0.5]), m=1, tol=1e-10)
+    with pytest.raises(EigensolveError, match="min-mode iteration did not reach") as err:
+        sk.min_modes(p, np.array([-0.9, 0.5]), m=1, tol=1e-10)
+    res = err.value.result
     assert res.iterations == 1 and not res.near_degenerate
     assert res.eigenvalues[0] == pytest.approx(-2.0, abs=1e-6)

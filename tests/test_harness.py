@@ -1,4 +1,5 @@
 import json
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -11,7 +12,6 @@ from saddlekit.harness import (
     doa_scan,
     emit_table,
     load_config,
-    records_from_table_json,
     run_experiment,
     run_invariant_checks,
 )
@@ -116,7 +116,7 @@ def test_emit_table_roundtrip(tmp_path):
     emit_table(records, tmp_path / "t.csv", fmt="csv")
     assert open(tmp_path / "t.csv").read().startswith("iter,a,b")
     jpath = emit_table(records, tmp_path / "t.json", fmt="json")
-    back = records_from_table_json(jpath)
+    back = json.loads(Path(jpath).read_text())
     assert back == {"a": [1e-1, 1e-3, 1e-7], "b": [2e-1, 5e-4]}
     with pytest.raises(ValueError):
         emit_table(records, tmp_path / "t.x", fmt="latex")
@@ -207,11 +207,16 @@ def test_cli_doa_rejects_unknown_keys(tmp_path):
 
 def test_benchmark_traced_names_resolve(monkeypatch):
     # the benchmark's traced run rebinds these library names; importing its
-    # workloads also builds the search configs they run
+    # workloads also builds the search configs they run, and the benchmark
+    # builds records and configs through the API used below
     monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
+    import measure
     import tracing
     import workloads
 
     for owner, attr, _, _ in tracing.targets(workloads):
         assert hasattr(owner, attr), f"{owner!r} has no attribute {attr!r}"
     assert hasattr(harness, "run_search")
+    rec = measure.failed_record(np.zeros(2), "RuntimeError: boom")
+    assert (rec.status, rec.message, rec.iterations) == ("failed", "RuntimeError: boom", 0)
+    assert replace(workloads.MORSE_CONFIG, convex_inner_cap=20).convex_inner_cap == 20

@@ -2,9 +2,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import saddlekit as sk
 from saddlekit import eigen, manifold
+from saddlekit.harness import table5_config
 from saddlekit.errors import ModelRegionError, OrderEstimateError, SubsolveError
 from saddlekit.search import INDEX_MAX_DIMENSION, estimate_order, estimate_order_pooled
 from saddlekit.subsolve import SubsolveConfig
@@ -28,11 +31,42 @@ def test_quadratic_step_lands_on_saddle_from_anywhere():
         assert np.linalg.norm(st.x) < 1e-10
 
 
-def test_step_fixed_point_at_saddle(three_hole):
-    sp = three_hole.stationary_points[0][0]
-    st = sk.step(three_hole, sk.initial_state(three_hole, sp),
-                 _exact_cfg(alpha=1.0, beta=1.0))
-    assert np.linalg.norm(st.x - sp) < 1e-12
+@given(shape=st.integers(1, 3).flatmap(lambda m: st.tuples(st.just(m), st.integers(m + 1, 6))),
+       seed=st.integers(0, 2**32 - 1))
+@settings(max_examples=25, deadline=None)
+def test_quadratic_of_index_m_lands_on_saddle_in_one_step(shape, seed):
+    # a rotated quadratic in d <= 6 dimensions whose m negative eigenvalues
+    # lie in [-3, -0.5] and whose positive ones lie in [0.5, 3.04], with
+    # every gap between neighbours above 0.5
+    m, d = shape
+    rng = np.random.default_rng(seed)
+    evals = np.concatenate([-np.linspace(0.5, 3.0, m), np.linspace(0.5, 3.0, d - m)])
+    evals += rng.uniform(0.0, 0.04, d)
+    Q, _ = np.linalg.qr(rng.standard_normal((d, d)))
+    p = sk.from_quadratic(Q @ np.diag(evals) @ Q.T)
+    cfg = _exact_cfg(index=m)
+    state = sk.step(p, sk.initial_state(p, rng.uniform(-1.0, 1.0, d)), cfg)
+    assert np.linalg.norm(state.x) < 1e-10
+
+
+def _known_saddles():
+    three_hole = sk.make_builtin("three_hole")
+    double_well = sk.make_builtin("double_well", {"mu": 2.0})
+    flat = _exact_cfg(alpha=1.0, beta=1.0)
+    cases = [pytest.param(three_hole, sp, flat, id=f"three_hole-{i}")
+             for i, sp in enumerate(three_hole.saddle_points())]
+    cases.append(pytest.param(double_well, double_well.saddle_points()[0], flat, id="double_well"))
+    sphere = sk.make_builtin("sphere_quadratic")
+    cases += [pytest.param(sphere, np.array([0.0, sign, 0.0]), table5_config(variant),
+                           id=f"sphere-{variant}-{'plus' if sign > 0 else 'minus'}_e2")
+              for variant in ("hyperplane", "ray", "mix") for sign in (1.0, -1.0)]
+    return cases
+
+
+@pytest.mark.parametrize("p, sp, cfg", _known_saddles())
+def test_step_fixed_point_at_saddle(p, sp, cfg):
+    state = sk.step(p, sk.initial_state(p, sp, cfg), cfg)
+    assert np.linalg.norm(state.x - sp) < 1e-12
 
 
 def test_run_records_iteration_zero(three_hole):
@@ -61,14 +95,6 @@ def test_convex_region_requires_box(three_hole):
                                             grad_tol=1e-10, max_outer_iters=15))
     assert rec.converged
     assert rec.terminal_index == 1
-
-
-def test_left_region_status(three_hole):
-    x0 = np.array([-1.0, 0.05])
-    cfg = _exact_cfg(alpha=1.0, beta=1.0, box=0.25, max_outer_iters=15,
-                     domain=((-0.9, -0.5), (0.9, 0.5)))
-    rec = sk.run(three_hole, x0, cfg)
-    assert rec.status == "left_region"
 
 
 def test_leaving_the_model_region_ends_run_as_left_region():
@@ -158,30 +184,33 @@ def test_non_finite_gradient_ends_run_as_failed(x0, message):
     assert (rec.status, rec.message) == ("failed", message)
 
 
-def test_non_finite_hessian_product_ends_run_as_failed():
-    # finite energy and gradient, NaN second derivatives (as products, or as
-    # an assembled matrix): the eigensolver refuses the products instead of
-    # feeding them to its SVD
+def _nan_second_derivative_models():
+    """A 2-d saddle with finite energy and gradient and NaN second
+    derivatives, as products and as an assembled matrix."""
     h = np.array([-1.0, 2.0])
     nan_hvp = sk.PotentialModel("nan_hvp", 2, lambda x: 0.5 * float(x @ (h * x)),
                                 lambda x: h * x, lambda x, u: np.full(2, np.nan))
     nan_hessian = sk.PotentialModel("nan_hessian", 2, lambda x: 0.5 * float(x @ (h * x)),
                                     lambda x: h * x, lambda x, u: h * u,
                                     hessian_fn=lambda x: np.full((2, 2), np.nan))
-    for p in (nan_hvp, nan_hessian):
+    return nan_hvp, nan_hessian
+
+
+def test_non_finite_hessian_product_ends_run_as_failed():
+    # the eigensolver refuses the products instead of feeding them to its SVD
+    for p in _nan_second_derivative_models():
         rec = sk.run(p, np.array([0.3, 0.2]), sk.SearchConfig(max_outer_iters=5))
         assert (rec.status, rec.message) == (
             "failed", "outer iteration 1: non-finite Hessian-vector product")
 
 
-def test_adaptive_sum_converges(three_hole):
-    sp = three_hole.stationary_points[0][0]
-    cfg = sk.SearchConfig(alpha=1.0, beta=1.0, adaptive_sum=True, eig_tol=1e-12,
-                          subsolve=SubsolveConfig(grad_tol=1e-13, max_inner_iters=400),
-                          grad_tol=1e-11, max_outer_iters=10, reference=sp)
-    rec = sk.run(three_hole, sp + np.array([0.1, -0.1]), cfg)
-    assert rec.converged
-    assert np.linalg.norm(rec.x - sp) < 1e-9
+def test_non_finite_hessian_at_a_converged_point_ends_run_as_failed():
+    # started on the stationary point: the terminal check must not read the
+    # NaN spectrum as index 0
+    for p in _nan_second_derivative_models():
+        rec = sk.run(p, np.zeros(2), sk.SearchConfig())
+        assert (rec.status, rec.message) == ("failed", "terminal point: non-finite Hessian")
+        assert rec.terminal_index is None
 
 
 def test_index2_one_shot_quadratic():
@@ -295,6 +324,15 @@ def test_config_validation():
         sk.SearchConfig(index=0)
     with pytest.raises(ValueError):
         sk.SearchConfig(on_sphere=True, sphere_variant="geodesic")
+
+
+@pytest.mark.parametrize("flat_only", [{"index": 2}, {"subset_alpha": {(0,): 2.0}},
+                                       {"subset_beta": {(0,): 2.0}}],
+                         ids=["index", "subset_alpha", "subset_beta"])
+def test_sphere_config_rejects_flat_only_settings(flat_only):
+    # the sphere construction targets index 1 with its variant's coefficients
+    with pytest.raises(ValueError, match="on_sphere"):
+        sk.SearchConfig(on_sphere=True, **flat_only)
 
 
 def test_eigensolver_column_drop_does_not_escape_run():
