@@ -16,6 +16,7 @@ from .harness import (
     load_config,
     run_experiment,
     run_invariant_checks,
+    write_json,
 )
 
 
@@ -56,9 +57,7 @@ def _cmd_doa(args):
     label = raw.get("label", f"doa_{grid.method}")
     grid.to_csv(os.path.join(args.output, f"{label}.csv"))
     summary = grid.summary()
-    with open(os.path.join(args.output, f"{label}_summary.json"), "w") as fh:
-        json.dump(summary, fh, indent=2)
-        fh.write("\n")
+    write_json(os.path.join(args.output, f"{label}_summary.json"), summary)
     print(json.dumps(summary, indent=2))
     return 0
 

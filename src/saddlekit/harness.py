@@ -44,6 +44,7 @@ __all__ = [
     "fig2_grids",
     "table5_config",
     "bench",
+    "write_json",
     "run_invariant_checks",
     "BENCH_PRESETS",
     "FIG2_GRID",
@@ -109,7 +110,7 @@ def load_config(path) -> ExperimentConfig:
     return config_from_dict(raw)
 
 
-def _search_config(cfg: ExperimentConfig, reference=None) -> SearchConfig:
+def _search_config(cfg: ExperimentConfig) -> SearchConfig:
     s = dict(cfg.search)
     sub = s.pop("subsolve", {})
     for key in ("subset_alpha", "subset_beta"):
@@ -117,7 +118,7 @@ def _search_config(cfg: ExperimentConfig, reference=None) -> SearchConfig:
             # a YAML subset key is one mode index or a list of them
             s[key] = {tuple(k) if isinstance(k, (list, tuple)) else (int(k),): v
                       for k, v in s[key].items()}
-    return SearchConfig(subsolve=SubsolveConfig(**sub), reference=reference, **s)
+    return SearchConfig(subsolve=SubsolveConfig(**sub), **s)
 
 
 def _starts(cfg: ExperimentConfig, p):
@@ -172,24 +173,22 @@ def _relaxed_minimum(p, tol=1e-11):
     return minimize(p, x0, SubsolveConfig(grad_tol=tol, max_inner_iters=6000)).y
 
 
-def _rereference(record: ConvergenceRecord, ref):
-    record.reference = ref
-    for i, (it, xx, _, gn, lam, inner) in enumerate(record.rows):
-        record.rows[i] = (it, xx, float(np.linalg.norm(xx - ref)), gn, lam, inner)
-
-
 def _auto_reference(p, record: ConvergenceRecord, on_sphere=False):
-    """Re-reports errors against the nearest known saddle after the fact."""
+    """Measures the record against the known saddle nearest its last point."""
     if on_sphere:
         saddles = [np.array([0.0, 1.0, 0.0]), np.array([0.0, -1.0, 0.0])]
     else:
         saddles = p.saddle_points()
-    if not saddles or not record.rows:
-        return None
-    term = record.x
-    ref = min(saddles, key=lambda s: float(np.linalg.norm(term - s)))
-    _rereference(record, ref)
-    return ref
+    if saddles:
+        term = record.x
+        record.measure(min(saddles, key=lambda s: float(np.linalg.norm(term - s))))
+
+
+def write_json(path, obj):
+    """Write ``obj`` as indented JSON with a trailing newline."""
+    with open(path, "w") as fh:
+        json.dump(obj, fh, indent=2)
+        fh.write("\n")
 
 
 # ----------------------------------------------------------------------------
@@ -207,19 +206,18 @@ def run_experiment(cfg: ExperimentConfig, out_dir) -> dict:
     os.makedirs(out_dir, exist_ok=True)
     p = make_builtin(cfg.problem, cfg.problem_params)
     starts, seed = _starts(cfg, p)
-    explicit_ref = None
-    if cfg.reference not in ("auto", None):
-        explicit_ref = np.asarray(cfg.reference, dtype=float)
 
     runs = []
     sequences = []
     for k, x0 in enumerate(starts):
         entry = {"run": k, "start": [float(v) for v in x0] if x0.size <= 8 else None}
         if cfg.method == "imf":
-            scfg = _search_config(cfg, reference=explicit_ref)
+            scfg = _search_config(cfg)
             record = run_search(p, x0, scfg)
-            if explicit_ref is None and cfg.reference == "auto":
+            if cfg.reference == "auto":
                 _auto_reference(p, record, on_sphere=scfg.on_sphere)
+            elif cfg.reference is not None:
+                record.measure(cfg.reference)
             path = os.path.join(out_dir, f"{cfg.label}_run{k}.csv")
             record.to_csv(path)
             entry.update(record.summary())
@@ -272,9 +270,7 @@ def run_experiment(cfg: ExperimentConfig, out_dir) -> dict:
             summary["pooled_order"] = estimate_order_pooled(sequences)
         except OrderEstimateError:
             summary["pooled_order"] = None
-    with open(os.path.join(out_dir, f"{cfg.label}_summary.json"), "w") as fh:
-        json.dump(summary, fh, indent=2)
-        fh.write("\n")
+    write_json(os.path.join(out_dir, f"{cfg.label}_summary.json"), summary)
     return summary
 
 
@@ -294,9 +290,7 @@ def emit_table(records, path, fmt="markdown"):
         cols.append((str(label), [float(e) for e in errs]))
     depth = max((len(c) for _, c in cols), default=0)
     if fmt == "json":
-        with open(path, "w") as fh:
-            json.dump({label: errs for label, errs in cols}, fh, indent=2)
-            fh.write("\n")
+        write_json(path, {label: errs for label, errs in cols})
         return path
     rows = []
     for i in range(depth):
@@ -464,9 +458,9 @@ def near_saddle_runs(seed, presets, grad_tol, subsolve_tol, max_inner, max_outer
                 alpha=a, beta=b, grad_tol=grad_tol, eig_tol=1e-12,
                 subsolve=SubsolveConfig(grad_tol=subsolve_tol, max_inner_iters=max_inner,
                                         box_radius=0.25),
-                max_outer_iters=max_outer, reference=sp,
+                max_outer_iters=max_outer,
             )
-            rec = run_search(p, x0, cfg)
+            rec = run_search(p, x0, cfg).measure(sp)
             records.append((f"({a:g},{b:g})@({sp[0]:.2f},{sp[1]:.2f})", rec))
     return records
 
@@ -524,7 +518,7 @@ def _table4(seed):
     if rec.converged:
         # no tabulated saddle exists for the cluster: report distances to
         # the converged point, the way such error columns are produced
-        _rereference(rec, rec.x)
+        rec.measure(rec.x)
     return [(f"island({a:g},{b:g})", rec)]
 
 
@@ -591,9 +585,7 @@ def bench(preset, out_dir, seed=None) -> dict:
             summaries[method] = grid.summary()
         out = {"preset": preset, "grids": summaries,
                "imf_labels_more": summaries["imf"]["labeled_cells"] > summaries["newton"]["labeled_cells"]}
-        with open(os.path.join(out_dir, "fig2_summary.json"), "w") as fh:
-            json.dump(out, fh, indent=2)
-            fh.write("\n")
+        write_json(os.path.join(out_dir, "fig2_summary.json"), out)
         return out
     seed = _table_seed(preset, seed)
     records = preset_runs(preset, seed)
@@ -626,9 +618,7 @@ def bench(preset, out_dir, seed=None) -> dict:
         )
     except OrderEstimateError:
         summary["pooled_order"] = None
-    with open(os.path.join(out_dir, f"{preset}_summary.json"), "w") as fh:
-        json.dump(summary, fh, indent=2)
-        fh.write("\n")
+    write_json(os.path.join(out_dir, f"{preset}_summary.json"), summary)
     return summary
 
 

@@ -52,6 +52,7 @@ __all__ = [
     "build_index_m",
     "build_manifold",
     "build_sphere_naive",
+    "index_m_coefficients",
     "COEFFICIENT_PRESETS",
 ]
 
@@ -147,18 +148,15 @@ class ModifiedObjective:
     """Reversed energy L(y) = w_0 V(y) + sum_k w_k V(pi_k(y)) anchored at a point.
 
     Instances are immutable; evaluation is pure.  ``base_weight`` is w_0 and
-    ``terms`` the reversal terms.  ``coefficient_sum`` is the total reversal
-    weight, which must exceed 1 for the anchor construction to be convex
-    near a saddle.  ``on_sphere`` objectives accept only points of the unit
-    sphere; their maps are nonlinear, so ``hessian_vec`` differentiates the
-    gradient numerically there.
+    ``terms`` the reversal terms.  ``on_sphere`` objectives accept only
+    points of the unit sphere; their maps are nonlinear, so ``hessian_vec``
+    differentiates the gradient numerically there.
     """
 
     potential: object
     anchor: np.ndarray
     base_weight: float
     terms: tuple
-    coefficient_sum: float
     on_sphere: bool = False
 
     def _check(self, y):
@@ -220,9 +218,7 @@ class ModifiedObjective:
         The energy's own Hessian diagonal is a good enough preconditioner
         for the reversed objective; exactness is irrelevant here.
         """
-        if self.potential.hessian_diag_fn is None:
-            return None
-        return np.asarray(self.potential.hessian_diag_fn(np.asarray(y, float)), dtype=float)
+        return self.potential.precondition_diag(y)
 
 
 def _linear_objective(p, x, V, subset_alpha, subset_beta) -> ModifiedObjective:
@@ -230,13 +226,11 @@ def _linear_objective(p, x, V, subset_alpha, subset_beta) -> ModifiedObjective:
     terms = []
     for s in sorted(set(subset_alpha) | set(subset_beta)):
         terms += _subspace_terms(x, V[:, list(s)], subset_alpha.get(s, 0.0), subset_beta.get(s, 0.0))
-    a_tot = sum(subset_alpha.values())
     return ModifiedObjective(
         potential=p,
         anchor=x,
-        base_weight=1.0 - a_tot,
+        base_weight=1.0 - sum(subset_alpha.values()),
         terms=tuple(terms),
-        coefficient_sum=float(a_tot + sum(subset_beta.values())),
     )
 
 
@@ -272,22 +266,14 @@ def _normalize_subsets(coeffs, m, what):
     return out
 
 
-def build_index_m(p, x, directions, subset_alpha=None, subset_beta=None) -> ModifiedObjective:
-    """Index-m objective over orthonormal ``directions`` (d, m).
+def index_m_coefficients(m, subset_alpha=None, subset_beta=None):
+    """The subset coefficients of an index-m objective, as normalized dicts.
 
-    Coefficients are dicts keyed by tuples of 0-based mode indices (nonempty
-    subsets of range(m)); their total must exceed 1.  With no coefficients
+    Keys are nonempty subsets of range(m), as tuples of 0-based mode
+    indices, and zero weights are dropped; a bad key raises ``ValueError``
+    and a total of at most 1 raises ``CoefficientError``.  With neither dict
     given, the full-subset beta defaults to 2, the minimal symmetric choice.
     """
-    x = np.asarray(x, dtype=float)
-    V = np.asarray(directions, dtype=float)
-    if V.ndim == 1:
-        V = V[:, None]
-    if V.shape[0] != x.shape[0]:
-        raise DimensionError("directions and anchor dimensions differ")
-    m = V.shape[1]
-    if not np.allclose(V.T @ V, np.eye(m), atol=1e-10):
-        raise ValueError("mode directions must be orthonormal to 1e-10")
     if subset_alpha is None and subset_beta is None:
         subset_beta = {tuple(range(m)): 2.0}
     sa = _normalize_subsets(subset_alpha, m, "subset_alpha")
@@ -298,7 +284,24 @@ def build_index_m(p, x, directions, subset_alpha=None, subset_beta=None) -> Modi
             f"sum of subset coefficients = {total:g} <= 1: reversal too weak "
             "for the anchor Hessian to be positive definite at a saddle"
         )
-    return _linear_objective(p, x, V, sa, sb)
+    return sa, sb
+
+
+def build_index_m(p, x, directions, subset_alpha=None, subset_beta=None) -> ModifiedObjective:
+    """Index-m objective over orthonormal ``directions`` (d, m).
+
+    The coefficients are checked and defaulted by ``index_m_coefficients``.
+    """
+    x = np.asarray(x, dtype=float)
+    V = np.asarray(directions, dtype=float)
+    if V.ndim == 1:
+        V = V[:, None]
+    if V.shape[0] != x.shape[0]:
+        raise DimensionError("directions and anchor dimensions differ")
+    m = V.shape[1]
+    if not np.allclose(V.T @ V, np.eye(m), atol=1e-10):
+        raise ValueError("mode directions must be orthonormal to 1e-10")
+    return _linear_objective(p, x, V, *index_m_coefficients(m, subset_alpha, subset_beta))
 
 
 def _sphere_tangents(p, x, v):
@@ -336,7 +339,6 @@ def build_manifold(p, x, v, alpha, beta) -> ModifiedObjective:
         anchor=x,
         base_weight=1.0 - alpha,
         terms=tuple(t for t in terms if t.weight != 0.0),
-        coefficient_sum=alpha + beta,
         on_sphere=True,
     )
 
@@ -369,6 +371,5 @@ def build_sphere_naive(p, x, v) -> ModifiedObjective:
         anchor=x,
         base_weight=1.0,
         terms=(_retracted_line_term(-2.0, x, v),),
-        coefficient_sum=2.0,
         on_sphere=True,
     )

@@ -60,13 +60,13 @@ class SearchConfig:
     """Outer-loop settings.
 
     The reversal strength alpha + beta must exceed 1 (index-1); index-m runs
-    take subset-keyed coefficient dicts instead (see ``build_index_m``).
-    ``grad_tol`` is on the infinity norm of the energy gradient (tangent
-    gradient on the sphere).  ``reference`` enables error reporting against a
-    known saddle.  ``on_sphere`` switches to the great-circle construction
-    with ``sphere_variant`` in {"hyperplane", "ray", "mix", "naive"}; it
-    targets index-1 saddles with the variant's own coefficients, so it takes
-    neither ``index`` > 1 nor subset coefficients.
+    take subset-keyed coefficient dicts instead, checked here by the rule
+    of ``objective.index_m_coefficients``.  ``grad_tol`` is on the infinity
+    norm of the energy gradient (tangent gradient on the sphere).
+    ``on_sphere`` switches to the great-circle construction with
+    ``sphere_variant`` in {"hyperplane", "ray", "mix", "naive"}; it targets
+    index-1 saddles with the variant's own coefficients, so it takes neither
+    ``index`` > 1 nor subset coefficients.
     """
 
     alpha: float = 1.0
@@ -78,7 +78,6 @@ class SearchConfig:
     subsolve: SubsolveConfig = field(default_factory=SubsolveConfig)
     grad_tol: float = 1e-10
     max_outer_iters: int = 100
-    reference: tuple = None
     on_sphere: bool = False
     sphere_variant: str = "ray"
     divergence_radius: float = np.inf
@@ -90,17 +89,17 @@ class SearchConfig:
     def __post_init__(self):
         if self.index < 1:
             raise ValueError("index must be >= 1")
-        if self.index == 1 and not self._subsets:
-            if self.alpha + self.beta <= 1.0:
-                raise ValueError(
-                    f"alpha + beta = {self.alpha + self.beta:g} must exceed 1"
-                )
         if self.grad_tol <= 0 or self.eig_tol <= 0:
             raise ValueError("tolerances must be positive")
         if self.on_sphere and self.sphere_variant not in ("hyperplane", "ray", "mix", "naive"):
             raise ValueError(f"unknown sphere variant {self.sphere_variant!r}")
         if self.on_sphere and (self.index != 1 or self._subsets):
             raise ValueError("on_sphere searches take index 1 and no subset coefficients")
+        if self.index > 1 or self._subsets:
+            # the coefficients step() hands build_index_m, under its rule
+            obj.index_m_coefficients(self.index, self.subset_alpha, self.subset_beta)
+        elif self.alpha + self.beta <= 1.0:
+            raise ValueError(f"alpha + beta = {self.alpha + self.beta:g} must exceed 1")
 
     @property
     def _subsets(self):
@@ -185,15 +184,14 @@ class ConvergenceRecord:
     """Per-iteration search history plus the terminal classification.
 
     ``rows`` hold (iteration, x, error, grad_norm, lambda1, inner_iters);
-    iteration 0 is the starting point.  ``error`` is the Euclidean distance
-    to the configured reference saddle (None when no reference is known).
+    iteration 0 is the starting point.  ``error`` is None until
+    :meth:`measure` sets it to the distance from a saddle.
     """
 
     rows: list = field(default_factory=list)
     status: str = "max_iters"
     message: str = ""
     terminal_index: int = None
-    reference: np.ndarray = None
 
     def add(self, iteration, x, error, grad_norm, lam1, inner_iters):
         self.rows.append(
@@ -202,6 +200,13 @@ class ConvergenceRecord:
              float(grad_norm), lam1 if lam1 is None else float(lam1),
              int(inner_iters))
         )
+
+    def measure(self, reference):
+        """Sets every row's error to |x - reference|; returns the record."""
+        ref = np.asarray(reference, dtype=float)
+        self.rows = [(it, x, float(np.linalg.norm(x - ref)), gn, lam, inner)
+                     for it, x, _, gn, lam, inner in self.rows]
+        return self
 
     @property
     def converged(self):
@@ -263,12 +268,6 @@ class ConvergenceRecord:
             fh.write("\n")
 
 
-def _error_to(reference, x):
-    if reference is None:
-        return None
-    return float(np.linalg.norm(x - reference))
-
-
 def run(p, x0, cfg: SearchConfig) -> ConvergenceRecord:
     """Iterate ``step`` from ``x0`` until tolerance, budget, or failure.
 
@@ -278,12 +277,12 @@ def run(p, x0, cfg: SearchConfig) -> ConvergenceRecord:
     ends the run as ``left_region``.  A converged run's terminal point is
     classified by a dense eigensolve into ``terminal_index`` when the
     dimension is at most ``INDEX_MAX_DIMENSION``; larger runs leave it None,
-    and a non-finite Hessian there ends the run as ``failed``.
+    and a non-finite Hessian there ends the run as ``failed``.  The rows'
+    errors stay None; :meth:`ConvergenceRecord.measure` sets them.
     """
-    ref = None if cfg.reference is None else np.asarray(cfg.reference, float)
-    record = ConvergenceRecord(reference=ref)
+    record = ConvergenceRecord()
     state = initial_state(p, x0, cfg)
-    record.add(0, state.x, _error_to(ref, state.x), state.grad_norm, None, 0)
+    record.add(0, state.x, None, state.grad_norm, None, 0)
 
     if not np.isfinite(state.grad_norm):
         record.status = "failed"
@@ -300,10 +299,8 @@ def run(p, x0, cfg: SearchConfig) -> ConvergenceRecord:
                 record.message = str(exc)
                 break
             lam1 = float(state.eigenvalues[0])
-            record.add(
-                state.outer_iter, state.x, _error_to(ref, state.x),
-                state.grad_norm, lam1, state.last_inner_iters,
-            )
+            record.add(state.outer_iter, state.x, None, state.grad_norm, lam1,
+                       state.last_inner_iters)
             if not np.isfinite(state.grad_norm):
                 record.status = "failed"
                 record.message = (

@@ -16,7 +16,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .eigen import dense_hessian, stationary_index
-from .errors import SubsolveError
+from .errors import EigensolveError, SubsolveError
 
 __all__ = [
     "SubsolveConfig",
@@ -254,13 +254,17 @@ def newton_stationary(p, x0, tol=1e-10, max_iters=200, step_limit=10.0) -> Newto
 
     Baseline root finder: converges to stationary points of any index, or
     fails on singular Hessians, oversized steps, or iteration exhaustion.
-    The terminal point is classified by its dense Hessian index.
+    The terminal point is classified by its dense Hessian index; a
+    non-finite Hessian there fails the run.
     """
     x = np.asarray(x0, dtype=float).copy()
     for it in range(max_iters):
         g = p.gradient(x)
         if float(np.linalg.norm(g, ord=np.inf)) <= tol:
-            return NewtonResult(x, stationary_index(p, x), True, it, "converged")
+            try:
+                return NewtonResult(x, stationary_index(p, x), True, it, "converged")
+            except EigensolveError as exc:
+                return NewtonResult(x, None, False, it, f"converged point: {exc}")
         H = dense_hessian(p, x)
         try:
             step = np.linalg.solve(H, -g)

@@ -35,6 +35,18 @@ def morse_saddle():
     return np.asarray(json.loads(path.read_text())["x"], dtype=float)
 
 
+def make_nan_second_derivative_models():
+    """A 2-d saddle with finite energy and gradient and NaN second
+    derivatives, as products and as an assembled matrix."""
+    h = np.array([-1.0, 2.0])
+    nan_hvp = sk.PotentialModel("nan_hvp", 2, lambda x: 0.5 * float(x @ (h * x)),
+                                lambda x: h * x, lambda x, u: np.full(2, np.nan))
+    nan_hessian = sk.PotentialModel("nan_hessian", 2, lambda x: 0.5 * float(x @ (h * x)),
+                                    lambda x: h * x, lambda x, u: h * u,
+                                    hessian_fn=lambda x: np.full((2, 2), np.nan))
+    return nan_hvp, nan_hessian
+
+
 def make_index2_cubic(l1=-0.8, l2=-0.5, l3=2.0, c1=0.3, c2=0.4, c3=0.2, c4=0.25):
     """3-d non-quadratic surface with an exact index-2 point at the origin."""
 

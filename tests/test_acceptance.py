@@ -192,8 +192,8 @@ def test_criterion_08_flow_equivalence_and_rates():
         gad_orders.append(estimate_order(errs[4:]))
         cfg = sk.SearchConfig(alpha=1.0, beta=1.0, grad_tol=5e-14, eig_tol=1e-12,
                               subsolve=_exact_subsolve(box=0.25),
-                              max_outer_iters=8, reference=SP_BOTTOM)
-        search_seqs.append(sk.run(THREE_HOLE, x0, cfg).errors())
+                              max_outer_iters=8)
+        search_seqs.append(sk.run(THREE_HOLE, x0, cfg).measure(SP_BOTTOM).errors())
     o_gad = max(gad_orders)
     o_search = estimate_order_pooled(search_seqs)
     ok = dev <= 1e-12 and o_gad <= 1.3 and 1.7 <= o_search <= 2.3
@@ -256,8 +256,8 @@ def test_criterion_10_index_two():
         x0 = radius * rng.standard_normal(3)
         cfg = sk.SearchConfig(index=2, grad_tol=5e-14, eig_tol=1e-12,
                               subsolve=_exact_subsolve(box=0.3),
-                              max_outer_iters=30, reference=np.zeros(3))
-        rec = sk.run(q, x0, cfg)
+                              max_outer_iters=30)
+        rec = sk.run(q, x0, cfg).measure(np.zeros(3))
         assert rec.converged and np.linalg.norm(rec.x) < 1e-10
         assert rec.terminal_index == 2
         seqs.append(rec.errors(include_start=False))

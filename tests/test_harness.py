@@ -1,4 +1,5 @@
 import json
+import re
 from dataclasses import replace
 from pathlib import Path
 
@@ -80,6 +81,37 @@ def test_run_experiment_reproducible(tmp_path):
     for k in range(2):
         assert ((tmp_path / "a" / f"tiny_run{k}.csv").read_bytes()
                 == (tmp_path / "b" / f"tiny_run{k}.csv").read_bytes())
+
+
+@pytest.mark.parametrize("reference", [[0.0, -0.3], None], ids=["point", "null"])
+def test_run_experiment_measures_to_configured_reference(tmp_path, reference):
+    summary = run_experiment(config_from_dict(_tiny_config(reference=reference)), tmp_path)
+    for k, r in enumerate(summary["runs"]):
+        xs = np.loadtxt(tmp_path / f"tiny_run{k}.csv", delimiter=",", skiprows=1,
+                        usecols=(5, 6), ndmin=2)
+        expected = [] if reference is None else list(np.linalg.norm(xs - reference, axis=1))
+        assert r["errors"] == pytest.approx(expected, rel=1e-15)
+
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def _readme_block(lang):
+    """The README's one fenced code block in ``lang``."""
+    block, = re.findall(rf"```{lang}\n(.*?)```", README.read_text(), re.S)
+    return block
+
+
+def test_readme_library_example_runs(capsys):
+    exec(compile(_readme_block("python"), str(README), "exec"), {})
+    assert capsys.readouterr().out.startswith("converged ")
+
+
+def test_readme_config_example_runs(tmp_path):
+    cfg = config_from_dict(yaml.safe_load(_readme_block("yaml")))
+    summary = run_experiment(cfg, tmp_path)
+    assert summary["all_converged"]
+    assert summary["runs"][0]["errors"][-1] < 1e-9
 
 
 def test_run_experiment_gad(tmp_path):

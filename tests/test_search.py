@@ -8,11 +8,11 @@ from hypothesis import strategies as st
 import saddlekit as sk
 from saddlekit import eigen, manifold
 from saddlekit.harness import table5_config
-from saddlekit.errors import ModelRegionError, OrderEstimateError, SubsolveError
+from saddlekit.errors import CoefficientError, ModelRegionError, OrderEstimateError, SubsolveError
 from saddlekit.search import INDEX_MAX_DIMENSION, estimate_order, estimate_order_pooled
 from saddlekit.subsolve import SubsolveConfig
 
-from conftest import make_index2_cubic
+from conftest import make_index2_cubic, make_nan_second_derivative_models
 
 
 def _exact_cfg(**kw):
@@ -72,8 +72,10 @@ def test_step_fixed_point_at_saddle(p, sp, cfg):
 def test_run_records_iteration_zero(three_hole):
     sp = three_hole.stationary_points[0][0]
     x0 = sp + np.array([0.05, 0.05])
-    cfg = _exact_cfg(alpha=1.0, beta=1.0, reference=sp, max_outer_iters=8)
+    cfg = _exact_cfg(alpha=1.0, beta=1.0, max_outer_iters=8)
     rec = sk.run(three_hole, x0, cfg)
+    assert rec.errors() == []  # run() measures nothing
+    assert rec.measure(sp) is rec
     assert rec.rows[0][0] == 0
     assert np.allclose(rec.rows[0][1], x0)
     assert np.isclose(rec.rows[0][2], np.linalg.norm(x0 - sp))
@@ -184,21 +186,9 @@ def test_non_finite_gradient_ends_run_as_failed(x0, message):
     assert (rec.status, rec.message) == ("failed", message)
 
 
-def _nan_second_derivative_models():
-    """A 2-d saddle with finite energy and gradient and NaN second
-    derivatives, as products and as an assembled matrix."""
-    h = np.array([-1.0, 2.0])
-    nan_hvp = sk.PotentialModel("nan_hvp", 2, lambda x: 0.5 * float(x @ (h * x)),
-                                lambda x: h * x, lambda x, u: np.full(2, np.nan))
-    nan_hessian = sk.PotentialModel("nan_hessian", 2, lambda x: 0.5 * float(x @ (h * x)),
-                                    lambda x: h * x, lambda x, u: h * u,
-                                    hessian_fn=lambda x: np.full((2, 2), np.nan))
-    return nan_hvp, nan_hessian
-
-
 def test_non_finite_hessian_product_ends_run_as_failed():
     # the eigensolver refuses the products instead of feeding them to its SVD
-    for p in _nan_second_derivative_models():
+    for p in make_nan_second_derivative_models():
         rec = sk.run(p, np.array([0.3, 0.2]), sk.SearchConfig(max_outer_iters=5))
         assert (rec.status, rec.message) == (
             "failed", "outer iteration 1: non-finite Hessian-vector product")
@@ -207,7 +197,7 @@ def test_non_finite_hessian_product_ends_run_as_failed():
 def test_non_finite_hessian_at_a_converged_point_ends_run_as_failed():
     # started on the stationary point: the terminal check must not read the
     # NaN spectrum as index 0
-    for p in _nan_second_derivative_models():
+    for p in make_nan_second_derivative_models():
         rec = sk.run(p, np.zeros(2), sk.SearchConfig())
         assert (rec.status, rec.message) == ("failed", "terminal point: non-finite Hessian")
         assert rec.terminal_index is None
@@ -226,9 +216,9 @@ def test_index2_run_on_cubic():
     cfg = sk.SearchConfig(index=2, eig_tol=1e-12, grad_tol=5e-14,
                           subsolve=SubsolveConfig(grad_tol=1e-14, max_inner_iters=500,
                                                   box_radius=0.3),
-                          max_outer_iters=25, reference=np.zeros(3))
+                          max_outer_iters=25)
     rng = np.random.default_rng(0)
-    rec = sk.run(q, 0.2 * rng.standard_normal(3), cfg)
+    rec = sk.run(q, 0.2 * rng.standard_normal(3), cfg).measure(np.zeros(3))
     assert rec.converged
     assert np.linalg.norm(rec.x) < 1e-10
     assert rec.terminal_index == 2
@@ -288,9 +278,8 @@ def test_estimate_order_pooled():
 
 def test_record_csv_and_json(tmp_path, three_hole):
     sp = three_hole.stationary_points[0][0]
-    cfg = _exact_cfg(alpha=2.0, beta=0.0, reference=sp, max_outer_iters=8,
-                     grad_tol=1e-12)
-    rec = sk.run(three_hole, sp + np.array([0.1, 0.1]), cfg)
+    cfg = _exact_cfg(alpha=2.0, beta=0.0, max_outer_iters=8, grad_tol=1e-12)
+    rec = sk.run(three_hole, sp + np.array([0.1, 0.1]), cfg).measure(sp)
     csv_path = tmp_path / "rec.csv"
     rec.to_csv(csv_path)
     lines = csv_path.read_text().splitlines()
@@ -308,12 +297,11 @@ def test_record_csv_and_json(tmp_path, three_hole):
 
 def test_record_reproducibility(tmp_path, three_hole):
     sp = three_hole.stationary_points[0][0]
-    cfg = _exact_cfg(alpha=1.0, beta=1.0, reference=sp, max_outer_iters=8,
-                     grad_tol=1e-12)
+    cfg = _exact_cfg(alpha=1.0, beta=1.0, max_outer_iters=8, grad_tol=1e-12)
     x0 = sp + np.array([0.07, -0.12])
     a, b = tmp_path / "a.csv", tmp_path / "b.csv"
-    sk.run(three_hole, x0, cfg).to_csv(a)
-    sk.run(three_hole, x0, cfg).to_csv(b)
+    sk.run(three_hole, x0, cfg).measure(sp).to_csv(a)
+    sk.run(three_hole, x0, cfg).measure(sp).to_csv(b)
     assert a.read_bytes() == b.read_bytes()
 
 
@@ -324,6 +312,12 @@ def test_config_validation():
         sk.SearchConfig(index=0)
     with pytest.raises(ValueError):
         sk.SearchConfig(on_sphere=True, sphere_variant="geodesic")
+    # index-m coefficients fail at construction, by build_index_m's rule,
+    # not later inside run()
+    with pytest.raises(CoefficientError):
+        sk.SearchConfig(index=2, subset_beta={(0, 1): 0.5})
+    with pytest.raises(ValueError, match="subset_beta key"):
+        sk.SearchConfig(index=2, subset_beta={(0, 5): 2.0})
 
 
 @pytest.mark.parametrize("flat_only", [{"index": 2}, {"subset_alpha": {(0,): 2.0}},

@@ -5,6 +5,8 @@ import saddlekit as sk
 from saddlekit.errors import SubsolveError
 from saddlekit.subsolve import SubsolveConfig, minimize, newton_stationary, sd_single_step
 
+from conftest import make_nan_second_derivative_models
+
 
 def _convex_objective(rng, d=6):
     Q, _ = np.linalg.qr(rng.standard_normal((d, d)))
@@ -143,3 +145,12 @@ def test_newton_failure_modes(three_hole):
     res = newton_stationary(three_hole, np.array([30.0, 30.0]), tol=1e-10, step_limit=5.0)
     assert not res.converged
     assert res.index is None
+
+
+def test_newton_non_finite_hessian_at_converged_point_fails():
+    # started on the stationary point: the index check meets a NaN Hessian,
+    # which ends the run as a failure instead of raising out of it
+    for p in make_nan_second_derivative_models():
+        res = newton_stationary(p, np.zeros(2))
+        assert (res.index, res.converged, res.iterations, res.message) == (
+            None, False, 0, "converged point: non-finite Hessian")
