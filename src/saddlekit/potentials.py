@@ -4,7 +4,9 @@ Every surface exposes energy, gradient and Hessian-vector products through
 :class:`PotentialModel`.  The four builtins are a 2-d double well, a 2-d
 three-hole surface, a 3-d axis-aligned quadratic (used on the unit sphere),
 and a Morse-potential adatom island on an FCC(111) slab, which also
-assembles its Hessian.
+assembles its Hessian.  The island remembers the pair geometry of its two
+most recent points, because the reversed objective alternates between a
+point and its projection off the mode.
 """
 
 import math
@@ -425,12 +427,32 @@ def _morse_island(spec: MorseClusterSpec = None) -> PotentialModel:
         r = np.sqrt(np.einsum("ij,ij->i", dvec, dvec))
         return i, j, dvec, r, r < rc
 
-    def _pairs(x):
-        """Pairs inside the cutoff: atom indices, vectors, lengths, phi', phi''."""
+    # geometry of the two most recent points, oldest first: the ray
+    # objective alternates between y and its mode projection, so one entry
+    # saves nothing, and more than two cost peak memory for no further hit
+    recent = {}
+
+    def _geometry(x):
+        """Pairs inside the cutoff at x: atom indices, vectors, lengths, phi', phi'', and the energy.
+
+        Keyed by the content of x, so a caller that changes its array in
+        place gets the new point.  The arrays are shared by every call at
+        the same point, so they are read-only.
+        """
+        key = x.tobytes()
+        hit = recent.get(key)
+        if hit is not None:
+            return hit
+        if len(recent) == 2:
+            del recent[next(iter(recent))]
         i, j, dvec, r, m = _separations(x)
         rm = r[m]
-        _, dphi, ddphi = _morse_pair_terms(rm, spec)
-        return i[m], j[m], dvec[m], rm, dphi, ddphi
+        phi, dphi, ddphi = _morse_pair_terms(rm, spec)
+        arrays = (i[m], j[m], dvec[m], rm, dphi, ddphi)
+        for a in arrays:
+            a.flags.writeable = False
+        geo = recent[key] = arrays + (float(phi.sum()) + e_static,)
+        return geo
 
     def _scatter(i, j, vals, combine):
         """combine(sums of pair rows at atom i, sums at atom j), free coordinates."""
@@ -441,16 +463,14 @@ def _morse_island(spec: MorseClusterSpec = None) -> PotentialModel:
         return out[free_idx].ravel()
 
     def energy(x):
-        _, _, _, r, m = _separations(x)
-        phi, _, _ = _morse_pair_terms(r[m], spec)
-        return float(phi.sum()) + e_static
+        return _geometry(x)[6]
 
     def gradient(x):
-        i, j, dm, rm, dphi, _ = _pairs(x)
+        i, j, dm, rm, dphi, _, _ = _geometry(x)
         return _scatter(i, j, (dphi / rm)[:, None] * dm, np.subtract)
 
     def hess_vec(x, u):
-        i, j, dm, rm, dphi, ddphi = _pairs(x)
+        i, j, dm, rm, dphi, ddphi, _ = _geometry(x)
         ufull = np.zeros((n_atoms, 3))
         ufull[free_idx] = u.reshape(-1, 3)
         rhat = dm / rm[:, None]
@@ -461,14 +481,14 @@ def _morse_island(spec: MorseClusterSpec = None) -> PotentialModel:
         return _scatter(i, j, hv, np.subtract)
 
     def hess_diag(x):
-        i, j, dm, rm, dphi, ddphi = _pairs(x)
+        i, j, dm, rm, dphi, ddphi, _ = _geometry(x)
         rhat = dm / rm[:, None]
         tang = dphi / rm
         dd = (ddphi - tang)[:, None] * rhat * rhat + tang[:, None]
         return _scatter(i, j, dd, np.add)
 
     def hessian(x):
-        i, j, dm, rm, dphi, ddphi = _pairs(x)
+        i, j, dm, rm, dphi, ddphi, _ = _geometry(x)
         rhat = dm / rm[:, None]
         tang = dphi / rm
         # pair block K = (phi'' - phi'/r) rr^T + (phi'/r) I, with rr^T formed

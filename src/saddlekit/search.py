@@ -7,7 +7,6 @@ iteration converges quadratically once the inner solves are accurate.
 """
 
 import csv
-import json
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -261,11 +260,6 @@ class ConvergenceRecord:
         except OrderEstimateError:
             out["estimated_order"] = None
         return out
-
-    def to_json(self, path):
-        with open(path, "w") as fh:
-            json.dump(self.summary(), fh, indent=2)
-            fh.write("\n")
 
 
 def run(p, x0, cfg: SearchConfig) -> ConvergenceRecord:

@@ -1,4 +1,5 @@
 import dataclasses
+import inspect
 import math
 
 import numpy as np
@@ -282,6 +283,66 @@ def test_morse_energy_after_a_long_move_counts_every_pair(morse):
     direct = sum(morse_pair_energy(np.linalg.norm(full[i] - full[j]), spec)
                  for i in range(len(full)) for j in range(i + 1, len(full)))
     assert abs(morse.energy(x) - direct) <= 1e-9
+
+
+def test_morse_remembered_geometry_matches_a_fresh_model(morse_saddle):
+    # one model walks the points an inner solve visits: y, its projection
+    # off the mode, a rejected trial, the accepted trial y' and its
+    # projection; every value at each point must equal a fresh model's
+    model = sk.make_builtin("morse_island")
+    geometry = inspect.getclosurevars(model.energy_fn).nonlocals["_geometry"]
+    rng = np.random.default_rng(41)
+    n = morse_saddle.size
+    v = rng.standard_normal(n)
+    v /= np.linalg.norm(v)
+    u = rng.standard_normal(n)
+    d = rng.standard_normal(n)
+
+    def proj(y):
+        return y - ((y - morse_saddle) @ v) * v
+
+    calls = (lambda p, x: p.energy(x), lambda p, x: p.gradient(x),
+             lambda p, x: p.hessian_vec(x, u), lambda p, x: p.precondition_diag(x),
+             lambda p, x: p.hessian_fn(x))
+
+    def check(x, first):
+        # start with a different function at each point, so each one meets
+        # both a new point and a remembered one
+        fresh = sk.make_builtin("morse_island")
+        order = calls[first:] + calls[:first]
+        for f in order + order:
+            np.testing.assert_array_equal(f(model, x), f(fresh, x))
+
+    y = morse_saddle + 0.02 * rng.standard_normal(n)
+    accepted = y + 0.01 * d
+    for k, x in enumerate((y, proj(y), y + 0.1 * d, accepted, proj(accepted))):
+        check(x, k)
+
+    # the key is the point's content: the caller's array changed in place
+    x = accepted.copy()
+    model.energy(x)
+    x[:3] += 0.01
+    check(x, 1)
+    # an island hop of ~1.5 A rebuilds the pair list
+    separations = inspect.getclosurevars(geometry).nonlocals["_separations"]
+    listed = inspect.getclosurevars(separations).nonlocals["verlet"]
+    x[-21:] += np.tile([1.2, -0.8, 0.3], 7)
+    check(x, 2)
+    assert inspect.getclosurevars(separations).nonlocals["verlet"] is not listed
+    check(accepted, 3)
+
+    # the two most recent points are remembered, and what is handed out
+    # from them cannot be written; a caller's result is its own
+    recent = inspect.getclosurevars(geometry).nonlocals["recent"]
+    a, b = geometry(y), geometry(proj(y))
+    assert geometry(y) is a and geometry(proj(y)) is b and len(recent) == 2
+    for arr in a[:6]:
+        assert not arr.flags.writeable
+        with pytest.raises(ValueError):
+            arr[0] = 0
+    model.gradient(y)[:] = 0.0
+    model.precondition_diag(y)[:] = 0.0
+    check(y, 1)
 
 
 @pytest.mark.parametrize("where", ["lattice", "saddle", "perturbed", "far"])

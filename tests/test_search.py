@@ -276,7 +276,7 @@ def test_estimate_order_pooled():
 # -- record serialization ------------------------------------------------------
 
 
-def test_record_csv_and_json(tmp_path, three_hole):
+def test_record_csv_and_summary(tmp_path, three_hole):
     sp = three_hole.stationary_points[0][0]
     cfg = _exact_cfg(alpha=2.0, beta=0.0, max_outer_iters=8, grad_tol=1e-12)
     rec = sk.run(three_hole, sp + np.array([0.1, 0.1]), cfg).measure(sp)
@@ -285,11 +285,7 @@ def test_record_csv_and_json(tmp_path, three_hole):
     lines = csv_path.read_text().splitlines()
     assert lines[0].startswith("iter,error,grad_norm,lambda1,inner_iters")
     assert len(lines) == len(rec.rows) + 1
-    json_path = tmp_path / "rec.json"
-    rec.to_json(json_path)
-    import json
-
-    data = json.loads(json_path.read_text())
+    data = rec.summary()
     assert data["status"] == "converged"
     assert data["terminal_index"] == 1
     assert len(data["errors"]) == len(rec.rows)
