@@ -144,15 +144,23 @@ _THREE_HOLE_TERMS = (
     (-5.0, -1.0, 0.0),
 )
 
-# critical points refined to machine precision by Newton iteration
+
+def _read_only(*values):
+    a = np.array(values)
+    a.flags.writeable = False
+    return a
+
+
+# critical points refined to machine precision by Newton iteration; built
+# once and shared by every model, so read-only
 _THREE_HOLE_POINTS = (
-    ((0.0, -0.31582655047813868), 1),
-    ((-0.61727230787645981, 1.1027345175080963), 1),
-    ((0.61727230787645981, 1.1027345175080963), 1),
-    ((-1.0480549928242195, -0.04209366630667781), 0),
-    ((1.0480549928242195, -0.04209366630667781), 0),
-    ((0.0, 1.5370820044494622), 0),
-    ((0.0, 0.51918674189207281), 2),
+    (_read_only(0.0, -0.31582655047813868), 1),
+    (_read_only(-0.61727230787645981, 1.1027345175080963), 1),
+    (_read_only(0.61727230787645981, 1.1027345175080963), 1),
+    (_read_only(-1.0480549928242195, -0.04209366630667781), 0),
+    (_read_only(1.0480549928242195, -0.04209366630667781), 0),
+    (_read_only(0.0, 1.5370820044494622), 0),
+    (_read_only(0.0, 0.51918674189207281), 2),
 )
 
 
@@ -195,14 +203,13 @@ def _three_hole() -> PotentialModel:
             hxy += e * 4.0 * dx * dy
         return np.array([hxx * u[0] + hxy * u[1], hxy * u[0] + hyy * u[1]])
 
-    points = tuple((np.array(p), idx) for p, idx in _THREE_HOLE_POINTS)
     return PotentialModel(
         name="three_hole",
         dimension=2,
         energy_fn=energy,
         gradient_fn=gradient,
         hessian_vec_fn=hess_vec,
-        stationary_points=points,
+        stationary_points=_THREE_HOLE_POINTS,
     )
 
 
@@ -445,10 +452,19 @@ def _morse_island(spec: MorseClusterSpec = None) -> PotentialModel:
             return hit
         if len(recent) == 2:
             del recent[next(iter(recent))]
-        i, j, dvec, r, m = _separations(x)
-        rm = r[m]
-        phi, dphi, ddphi = _morse_pair_terms(rm, spec)
-        arrays = (i[m], j[m], dvec[m], rm, dphi, ddphi)
+        if np.isfinite(x).all():
+            i, j, dvec, r, m = _separations(x)
+            i, j, dvec, r = i[m], j[m], dvec[m], r[m]
+        else:
+            # a non-finite separation fails the cutoff test and the Verlet
+            # check alike, so its atom's pairs would drop out and leave every
+            # value finite: pair each free atom with itself at NaN length
+            # instead, which makes every value computed from here NaN
+            i = j = free_idx.copy()
+            dvec = np.full((n_free, 3), np.nan)
+            r = np.full(n_free, np.nan)
+        phi, dphi, ddphi = _morse_pair_terms(r, spec)
+        arrays = (i, j, dvec, r, dphi, ddphi)
         for a in arrays:
             a.flags.writeable = False
         geo = recent[key] = arrays + (float(phi.sum()) + e_static,)

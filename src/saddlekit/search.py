@@ -185,6 +185,12 @@ class ConvergenceRecord:
     ``rows`` hold (iteration, x, error, grad_norm, lambda1, inner_iters);
     iteration 0 is the starting point.  ``error`` is None until
     :meth:`measure` sets it to the distance from a saddle.
+
+    ``status`` is one of ``converged``, ``max_iters`` (the budget ran out),
+    ``cycling`` (a step that moved the point reproduced an earlier state
+    exactly), ``diverged``, ``left_region`` and ``failed``; :func:`run`
+    says when each is set.  A zero-length step is a stall, not a cycle:
+    such a run ends ``max_iters``.
     """
 
     rows: list = field(default_factory=list)
@@ -266,9 +272,24 @@ def run(p, x0, cfg: SearchConfig) -> ConvergenceRecord:
     """Iterate ``step`` from ``x0`` until tolerance, budget, or failure.
 
     Never raises on solver failures: the record's ``status``/``message``
-    report them, a non-finite gradient at the start or after a step
-    included.  A step out of the region where the energy model is valid
-    ends the run as ``left_region``.  A converged run's terminal point is
+    report them.  The statuses:
+
+    * ``converged``: the gradient norm reached ``grad_tol``.
+    * ``max_iters``: ``max_outer_iters`` steps ran without another status.
+      A stall (a zero-length step, so a fixed point that is not stationary)
+      stays here.
+    * ``cycling``: a step that moved the point produced a state
+      (``x``, ``modes``, ``last_step_inf``: all that ``step`` reads) equal
+      bitwise to an earlier one, so the run would repeat until the budget
+      ran out; the message names both outer iterations.
+    * ``diverged``: the point left the ball of radius ``divergence_radius``.
+    * ``left_region``: a step left the region where the energy model is
+      valid.
+    * ``failed``: an eigensolve or inner solve failed, the anchor was convex
+      without a trust box, or the gradient at the start or after a step was
+      non-finite.
+
+    A converged run's terminal point is
     classified by a dense eigensolve into ``terminal_index`` when the
     dimension is at most ``INDEX_MAX_DIMENSION``; larger runs leave it None,
     and a non-finite Hessian there ends the run as ``failed``.  The rows'
@@ -285,6 +306,8 @@ def run(p, x0, cfg: SearchConfig) -> ConvergenceRecord:
         # started on a stationary point
         record.status = "converged"
     else:
+        # outer iteration of each state seen, keyed by everything step reads
+        seen = {}
         while state.outer_iter < cfg.max_outer_iters:
             try:
                 state = step(p, state, cfg)
@@ -307,6 +330,15 @@ def run(p, x0, cfg: SearchConfig) -> ConvergenceRecord:
             if state.grad_norm <= cfg.grad_tol:
                 record.status = "converged"
                 break
+            key = (state.x.tobytes(), state.modes.tobytes(), state.last_step_inf)
+            if state.last_step_inf > 0.0 and key in seen:
+                record.status = "cycling"
+                record.message = (
+                    f"outer iteration {state.outer_iter} repeats the state of "
+                    f"outer iteration {seen[key]}"
+                )
+                break
+            seen[key] = state.outer_iter
 
     if record.converged and p.dimension <= INDEX_MAX_DIMENSION:
         try:

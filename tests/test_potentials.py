@@ -72,6 +72,14 @@ def test_three_hole_minima_and_maximum(three_hole):
         assert sk.stationary_index(three_hole, q) == idx
 
 
+def test_three_hole_stationary_points_are_read_only(three_hole):
+    # built once and shared by every three-hole model
+    assert sk.make_builtin("three_hole").stationary_points[0][0] is three_hole.stationary_points[0][0]
+    for q in [q for q, _ in three_hole.stationary_points] + three_hole.saddle_points():
+        with pytest.raises(ValueError):
+            q[0] = 0.0
+
+
 def test_three_hole_takes_no_params():
     with pytest.raises(ValueError):
         sk.make_builtin("three_hole", {"mu": 1.0})
@@ -283,6 +291,19 @@ def test_morse_energy_after_a_long_move_counts_every_pair(morse):
     direct = sum(morse_pair_energy(np.linalg.norm(full[i] - full[j]), spec)
                  for i in range(len(full)) for j in range(i + 1, len(full)))
     assert abs(morse.energy(x) - direct) <= 1e-9
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_morse_non_finite_point_ends_run_as_failed(morse, bad):
+    # a non-finite separation fails the cutoff test and the Verlet check, so
+    # the atom's pairs must not silently drop out and leave finite values
+    x = morse.extras["coords"][~morse.extras["frozen"]].ravel().copy()
+    x[-1] = bad
+    assert np.isnan(morse.energy(x))
+    assert np.isnan(morse.gradient(x)).all()
+    rec = sk.run(morse, x, sk.SearchConfig(max_outer_iters=3))
+    assert (rec.status, rec.message) == (
+        "failed", "iteration 0: non-finite gradient at the starting point")
 
 
 def test_morse_remembered_geometry_matches_a_fresh_model(morse_saddle):

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import saddlekit as sk
-from saddlekit import eigen, manifold
+from saddlekit import eigen, harness, manifold
 from saddlekit.harness import table5_config
 from saddlekit.errors import CoefficientError, ModelRegionError, OrderEstimateError, SubsolveError
 from saddlekit.search import INDEX_MAX_DIMENSION, estimate_order, estimate_order_pooled
@@ -166,6 +166,62 @@ def test_divergence_status():
                           max_outer_iters=60, divergence_radius=10.0)
     rec = sk.run(p, np.array([0.3, 0.2]), cfg)
     assert rec.status in ("diverged", "max_iters")
+
+
+def _state_key(state):
+    return state.x.tobytes(), state.modes.tobytes(), state.last_step_inf
+
+
+@pytest.mark.parametrize("x0, status, iterations", [
+    ((-1.5, 1.5), "cycling", 4),
+    ((1.5, -1.0), "cycling", 14),
+    ((1.5, 0.0), "converged", 8),
+])
+def test_fig2_cell_ends_cycling_only_on_a_repeated_state(three_hole, monkeypatch,
+                                                        x0, status, iterations):
+    # the search harness._doa_cell runs for a fig2 cell, replayed step by
+    # step: a cycling run's last state equals an earlier one, and stepping
+    # on from it retraces the states after that one, so the run would
+    # repeat until its budget ran out; a converged run repeats no state
+    searches = []
+
+    def run_search(p, x, cfg):
+        searches.append((cfg, sk.run(p, x, cfg)))
+        return searches[-1][1]
+
+    monkeypatch.setattr(harness, "run_search", run_search)
+    harness._doa_cell(("three_hole", {}, "imf", x0, 200, 0.25, 1e-3))
+    (cfg, rec), = searches
+    assert (rec.status, rec.iterations) == (status, iterations)
+    states = [sk.step(three_hole, sk.initial_state(three_hole, x0, cfg), cfg)]
+    while len(states) < iterations:
+        states.append(sk.step(three_hole, states[-1], cfg))
+    np.testing.assert_array_equal(states[-1].x, rec.x)
+    keys = [_state_key(s) for s in states]
+    if status == "converged":
+        assert len(set(keys)) == iterations
+        assert rec.terminal_index == 1
+        return
+    first = keys.index(keys[-1]) + 1
+    assert first < iterations and states[-1].last_step_inf > 0.0
+    assert rec.message == (f"outer iteration {iterations} repeats the state of "
+                           f"outer iteration {first}")
+    state = states[-1]
+    for k in range(first, iterations):
+        state = sk.step(three_hole, state, cfg)
+        assert _state_key(state) == keys[k]
+
+
+def test_stalled_sphere_search_ends_max_iters(sphere_quad):
+    # a hyperplane search from one of the sphere_geodesic benchmark's starts
+    # (seed 4, search 15) takes zero-length steps from outer iteration 3 on,
+    # short of its gradient tolerance: a stall, not a cycle
+    phase = np.random.default_rng(4).uniform(0.0, 2.0 * math.pi)
+    phi = phase + (15 // 3) * math.pi * (3.0 - math.sqrt(5.0))
+    x0 = np.array([math.cos(0.1), math.sin(0.1) * math.cos(phi), math.sin(0.1) * math.sin(phi)])
+    rec = sk.run(sphere_quad, x0, table5_config("hyperplane"))
+    assert (rec.status, rec.iterations, rec.message) == ("max_iters", 8, "")
+    np.testing.assert_array_equal(rec.rows[2][1], rec.x)
 
 
 @pytest.mark.parametrize("x0, message", [
