@@ -6,7 +6,13 @@ three-hole surface, a 3-d axis-aligned quadratic (used on the unit sphere),
 and a Morse-potential adatom island on an FCC(111) slab, which also
 assembles its Hessian.  The island remembers the pair geometry of its two
 most recent points, because the reversed objective alternates between a
-point and its projection off the mode.
+point and its projection off the mode.  A point's geometry holds the pairs
+inside the cutoff as the flat coordinate indices ``3 * atom + xyz`` of
+their two atoms, the pair vectors and lengths, phi' and phi''; gradient and
+Hessian-vector sums are then one ``bincount`` per side over every
+coordinate.  Per-pair rows are gathered with ``take``, which copies whole
+rows at a fraction of the cost of fancy indexing; gathers are exact and
+``bincount`` adds in pair order, so the values do not depend on the layout.
 """
 
 import math
@@ -407,17 +413,22 @@ def _morse_island(spec: MorseClusterSpec = None) -> PotentialModel:
     else:
         e_static = 0.0
 
+    # a pair's atoms are held as the flat indices 3 * atom + xyz of their
+    # coordinates, one row per pair
+    xyz = np.arange(3)
+    free_flat = (3 * free_idx[:, None] + xyz).ravel()
+
     def _verlet_list(full):
         """Pairs within rc + skin of ``full`` in triu order, and the free atoms' positions."""
-        dvec = full[ia] - full[ja]
+        dvec = np.take(full, ia, axis=0) - np.take(full, ja, axis=0)
         keep = np.einsum("ij,ij->i", dvec, dvec) < (rc + _VERLET_SKIN) ** 2
-        return ia[keep], ja[keep], full[free_idx]
+        return 3 * ia[keep, None] + xyz, 3 * ja[keep, None] + xyz, full[free_idx]
 
     # one tuple, replaced whole on a rebuild
     verlet = _verlet_list(base)
 
     def _separations(x):
-        """Listed pairs at x: atom indices, vectors, lengths and the cutoff mask.
+        """Pairs inside the cutoff at x: flat indices, vectors and lengths.
 
         The pairs inside the cutoff, and their order, do not depend on where
         the list was built, so neither do the values computed from them.
@@ -426,13 +437,16 @@ def _morse_island(spec: MorseClusterSpec = None) -> PotentialModel:
         xa = x.reshape(-1, 3)
         full = base.copy()
         full[free_idx] = xa
-        i, j, built_at = verlet
+        si, sj, built_at = verlet
         if np.max(np.sum((xa - built_at) ** 2, axis=1)) > (0.5 * _VERLET_SKIN) ** 2:
             verlet = _verlet_list(full)
-            i, j, _ = verlet
-        dvec = full[i] - full[j]
+            si, sj, _ = verlet
+        flat = full.ravel()
+        dvec = flat.take(si) - flat.take(sj)
         r = np.sqrt(np.einsum("ij,ij->i", dvec, dvec))
-        return i, j, dvec, r, r < rc
+        k = np.flatnonzero(r < rc)
+        return (np.take(si, k, axis=0), np.take(sj, k, axis=0),
+                np.take(dvec, k, axis=0), r.take(k))
 
     # geometry of the two most recent points, oldest first: the ray
     # objective alternates between y and its mode projection, so one entry
@@ -440,7 +454,7 @@ def _morse_island(spec: MorseClusterSpec = None) -> PotentialModel:
     recent = {}
 
     def _geometry(x):
-        """Pairs inside the cutoff at x: atom indices, vectors, lengths, phi', phi'', and the energy.
+        """Pairs inside the cutoff at x: flat indices, vectors, lengths, phi', phi'', and the energy.
 
         Keyed by the content of x, so a caller that changes its array in
         place gets the new point.  The arrays are shared by every call at
@@ -453,58 +467,58 @@ def _morse_island(spec: MorseClusterSpec = None) -> PotentialModel:
         if len(recent) == 2:
             del recent[next(iter(recent))]
         if np.isfinite(x).all():
-            i, j, dvec, r, m = _separations(x)
-            i, j, dvec, r = i[m], j[m], dvec[m], r[m]
+            si, sj, dvec, r = _separations(x)
         else:
             # a non-finite separation fails the cutoff test and the Verlet
             # check alike, so its atom's pairs would drop out and leave every
             # value finite: pair each free atom with itself at NaN length
             # instead, which makes every value computed from here NaN
-            i = j = free_idx.copy()
+            si = sj = 3 * free_idx[:, None] + xyz
             dvec = np.full((n_free, 3), np.nan)
             r = np.full(n_free, np.nan)
         phi, dphi, ddphi = _morse_pair_terms(r, spec)
-        arrays = (i, j, dvec, r, dphi, ddphi)
+        arrays = (si, sj, dvec, r, dphi, ddphi)
         for a in arrays:
             a.flags.writeable = False
         geo = recent[key] = arrays + (float(phi.sum()) + e_static,)
         return geo
 
-    def _scatter(i, j, vals, combine):
-        """combine(sums of pair rows at atom i, sums at atom j), free coordinates."""
-        out = np.zeros((n_atoms, 3))
-        for k in range(3):
-            out[:, k] = combine(np.bincount(i, weights=vals[:, k], minlength=n_atoms),
-                                np.bincount(j, weights=vals[:, k], minlength=n_atoms))
-        return out[free_idx].ravel()
+    def _scatter(si, sj, vals, combine):
+        """combine(sums of pair rows at atom i, sums at atom j), free coordinates.
+
+        A bincount over flat indices adds each coordinate's terms in pair order."""
+        w = vals.ravel()
+        return combine(np.bincount(si.ravel(), w, 3 * n_atoms),
+                       np.bincount(sj.ravel(), w, 3 * n_atoms)).take(free_flat)
 
     def energy(x):
         return _geometry(x)[6]
 
     def gradient(x):
-        i, j, dm, rm, dphi, _, _ = _geometry(x)
-        return _scatter(i, j, (dphi / rm)[:, None] * dm, np.subtract)
+        si, sj, dm, rm, dphi, _, _ = _geometry(x)
+        return _scatter(si, sj, (dphi / rm)[:, None] * dm, np.subtract)
 
     def hess_vec(x, u):
-        i, j, dm, rm, dphi, ddphi, _ = _geometry(x)
-        ufull = np.zeros((n_atoms, 3))
-        ufull[free_idx] = u.reshape(-1, 3)
+        si, sj, dm, rm, dphi, ddphi, _ = _geometry(x)
+        ufull = np.zeros(3 * n_atoms)
+        ufull[free_flat] = u
         rhat = dm / rm[:, None]
-        s = ufull[i] - ufull[j]
+        s = ufull.take(si) - ufull.take(sj)
         radial = np.einsum("ij,ij->i", rhat, s)
         tang = dphi / rm
         hv = (ddphi - tang)[:, None] * radial[:, None] * rhat + tang[:, None] * s
-        return _scatter(i, j, hv, np.subtract)
+        return _scatter(si, sj, hv, np.subtract)
 
     def hess_diag(x):
-        i, j, dm, rm, dphi, ddphi, _ = _geometry(x)
+        si, sj, dm, rm, dphi, ddphi, _ = _geometry(x)
         rhat = dm / rm[:, None]
         tang = dphi / rm
         dd = (ddphi - tang)[:, None] * rhat * rhat + tang[:, None]
-        return _scatter(i, j, dd, np.add)
+        return _scatter(si, sj, dd, np.add)
 
     def hessian(x):
-        i, j, dm, rm, dphi, ddphi, _ = _geometry(x)
+        si, sj, dm, rm, dphi, ddphi, _ = _geometry(x)
+        i, j = si[:, 0] // 3, sj[:, 0] // 3
         rhat = dm / rm[:, None]
         tang = dphi / rm
         # pair block K = (phi'' - phi'/r) rr^T + (phi'/r) I, with rr^T formed
@@ -518,10 +532,11 @@ def _morse_island(spec: MorseClusterSpec = None) -> PotentialModel:
         sums = (np.bincount((9 * i[:, None] + cells).ravel(), flat, 9 * n_atoms)
                 + np.bincount((9 * j[:, None] + cells).ravel(), flat, 9 * n_atoms))
         f = np.arange(n_free)
-        H[f, :, f, :] = sums.reshape(n_atoms, 3, 3)[free_idx]
+        H[f, :, f, :] = np.take(sums.reshape(n_atoms, 3, 3), free_idx, axis=0)
         # a free-free pair occurs once in the list: its blocks are -K both ways
-        both = (free_pos[i] >= 0) & (free_pos[j] >= 0)
-        fi, fj, Kf = free_pos[i[both]], free_pos[j[both]], K[both]
+        fi, fj = free_pos.take(i), free_pos.take(j)
+        both = np.flatnonzero((fi >= 0) & (fj >= 0))
+        fi, fj, Kf = fi.take(both), fj.take(both), np.take(K, both, axis=0)
         H[fi, :, fj, :] = -Kf
         H[fj, :, fi, :] = -Kf
         return H.reshape(dim, dim)

@@ -9,6 +9,7 @@ import saddlekit as sk
 from saddlekit.errors import DimensionError
 from saddlekit.potentials import (
     MorseClusterSpec,
+    _morse_pair_terms,
     build_morse_lattice,
     morse_full_coordinates,
     morse_pair_energy,
@@ -283,7 +284,9 @@ def test_morse_values_do_not_depend_on_where_the_pair_list_was_built():
 
 
 def test_morse_energy_after_a_long_move_counts_every_pair(morse):
-    # an atom moved 10 A meets pairs its first pair list never held
+    # an atom moved 10 A meets pairs its first pair list never held; every
+    # value must equal a direct sum over the pairs inside the cutoff, so a
+    # pair's terms land on both its atoms with the right signs
     x = morse.extras["coords"][~morse.extras["frozen"]].ravel().copy()
     x[0] += 10.0
     full = morse_full_coordinates(morse, x)
@@ -291,6 +294,32 @@ def test_morse_energy_after_a_long_move_counts_every_pair(morse):
     direct = sum(morse_pair_energy(np.linalg.norm(full[i] - full[j]), spec)
                  for i in range(len(full)) for j in range(i + 1, len(full)))
     assert abs(morse.energy(x) - direct) <= 1e-9
+
+    u = np.random.default_rng(31).standard_normal(x.size)
+    ufull = np.zeros_like(full)
+    ufull[morse.extras["free_indices"]] = u.reshape(-1, 3)
+    grad, hu, diag = (np.zeros_like(full) for _ in range(3))
+    for i in range(len(full)):
+        for j in range(i + 1, len(full)):
+            d = full[i] - full[j]
+            r = math.sqrt(d @ d)
+            if r >= spec.rc:
+                continue
+            _, dphi, ddphi = _morse_pair_terms(r, spec)
+            rhat = d / r
+            # K = d2 phi / dd dd^T, the pair's block of the Hessian
+            K = (ddphi - dphi / r) * np.outer(rhat, rhat) + (dphi / r) * np.eye(3)
+            grad[i] += dphi * rhat
+            grad[j] -= dphi * rhat
+            hu[i] += K @ (ufull[i] - ufull[j])
+            hu[j] -= K @ (ufull[i] - ufull[j])
+            diag[i] += K.diagonal()
+            diag[j] += K.diagonal()
+    free = morse.extras["free_indices"]
+    for got, ref in ((morse.gradient(x), grad), (morse.hessian_vec(x, u), hu),
+                     (morse.hessian_diag_fn(x), diag)):
+        ref = ref[free].ravel()
+        assert np.abs(got - ref).max() <= 1e-9 * np.abs(ref).max()
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
@@ -353,14 +382,21 @@ def test_morse_remembered_geometry_matches_a_fresh_model(morse_saddle):
     check(accepted, 3)
 
     # the two most recent points are remembered, and what is handed out
-    # from them cannot be written; a caller's result is its own
+    # from them cannot be written, the per-point index arrays included; a
+    # caller's result is its own
     recent = inspect.getclosurevars(geometry).nonlocals["recent"]
     a, b = geometry(y), geometry(proj(y))
     assert geometry(y) is a and geometry(proj(y)) is b and len(recent) == 2
-    for arr in a[:6]:
-        assert not arr.flags.writeable
-        with pytest.raises(ValueError):
-            arr[0] = 0
+    for (*arrays, e), x in ((a, y), (b, proj(y))):
+        assert e == model.energy(x)
+        assert all(isinstance(arr, np.ndarray) for arr in arrays)
+        assert any(arr.dtype.kind == "i" for arr in arrays)
+        for arr in arrays:
+            assert not arr.flags.writeable
+            with pytest.raises(ValueError):
+                arr[0] = 0
+            # nor through a writable array it is a view of
+            assert arr.base is None or not arr.base.flags.writeable
     model.gradient(y)[:] = 0.0
     model.precondition_diag(y)[:] = 0.0
     check(y, 1)
