@@ -39,7 +39,6 @@ from .manifold import (
     TangentProjector,
     constrained_index,
     solve_constrained_subproblem,
-    sphere_geodesic_project,
     tangent_projector,
 )
 from .search import (

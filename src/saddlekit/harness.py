@@ -54,6 +54,14 @@ __all__ = [
 # ----------------------------------------------------------------------------
 # configuration
 
+# the start kinds and the keys of each (``point`` holds the point itself)
+_START_KEYS = {
+    "point": (),
+    "circle": ("center", "radius", "count"),
+    "sphere_cap": ("center", "geodesic_distance", "count"),
+    "perturbed_minimum": ("amplitude", "count"),
+}
+
 
 @dataclass
 class ExperimentConfig:
@@ -73,8 +81,13 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.method not in ("imf", "gad", "newton"):
             raise ValueError(f"method must be one of imf|gad|newton, got {self.method!r}")
-        if not self.start:
-            raise ValueError("config requires a start section (point | circle | sphere_cap)")
+        if len(self.start) != 1 or not set(self.start) <= set(_START_KEYS):
+            raise ValueError(f"start takes exactly one of {' | '.join(_START_KEYS)}, "
+                             f"got {sorted(self.start)}")
+        (kind, spec), = self.start.items()
+        extra = set(spec) - set(_START_KEYS[kind]) if kind != "point" else ()
+        if extra:
+            raise ValueError(f"unknown {kind} start keys: {sorted(extra)}")
 
 
 def config_from_dict(raw: dict) -> ExperimentConfig:
@@ -100,8 +113,9 @@ def load_config(path) -> ExperimentConfig:
 
     Top-level keys: ``problem`` (name + params), ``method`` (imf|gad|newton),
     ``search`` (outer-loop settings incl. nested ``subsolve``), ``gad``,
-    ``newton``, ``start`` (point | circle | sphere_cap), ``reference``
-    ("auto", explicit point, or null), ``label``, ``seed``.
+    ``newton``, ``start`` (exactly one of point | circle | sphere_cap |
+    perturbed_minimum), ``reference`` ("auto", explicit point, or null),
+    ``label``, ``seed``.
     """
     with open(path) as fh:
         raw = yaml.safe_load(fh)
@@ -140,15 +154,12 @@ def _starts(cfg: ExperimentConfig, p):
         center = center / np.linalg.norm(center)
         return [_on_cap(rng, center, float(c["geodesic_distance"]))
                 for _ in range(int(c.get("count", 1)))], cfg.seed
-    if "perturbed_minimum" in spec:
-        # relax the built geometry, then displace free coordinates
-        c = spec["perturbed_minimum"]
-        amp = float(c.get("amplitude", 0.05))
-        count = int(c.get("count", 1))
-        relax_tol = float(c.get("relax_tol", 1e-11))
-        xref = _relaxed_minimum(p, relax_tol)
-        return [xref + amp * rng.standard_normal(xref.size) for _ in range(count)], cfg.seed
-    raise ValueError(f"unrecognized start spec {sorted(spec)}")
+    # perturbed_minimum: relax the built geometry, then displace free coordinates
+    c = spec["perturbed_minimum"]
+    amp = float(c.get("amplitude", 0.05))
+    count = int(c.get("count", 1))
+    xref = _relaxed_minimum(p)
+    return [xref + amp * rng.standard_normal(xref.size) for _ in range(count)], cfg.seed
 
 
 def _on_circle(rng, center, radius):
@@ -165,12 +176,12 @@ def _on_cap(rng, center, dist):
     return math.cos(dist) * center + math.sin(dist) * t
 
 
-def _relaxed_minimum(p, tol=1e-11):
+def _relaxed_minimum(p):
     if "coords" in p.extras:
         x0 = p.extras["coords"][~p.extras["frozen"]].ravel().copy()
     else:
         raise ValueError(f"{p.name} has no built-in geometry to relax")
-    return minimize(p, x0, SubsolveConfig(grad_tol=tol, max_inner_iters=6000)).y
+    return minimize(p, x0, SubsolveConfig(grad_tol=1e-11, max_inner_iters=6000)).y
 
 
 def _auto_reference(p, record: ConvergenceRecord, on_sphere=False):
@@ -284,6 +295,8 @@ def emit_table(records, path, fmt="markdown"):
     ``records`` may hold :class:`ConvergenceRecord` objects or plain error
     lists.  Formats: csv, json, markdown.
     """
+    if fmt not in ("csv", "json", "markdown"):
+        raise ValueError(f"unknown table format {fmt!r}")
     cols = []
     for label, rec in records:
         errs = rec.errors(include_start=False) if hasattr(rec, "errors") else list(rec)
@@ -304,13 +317,11 @@ def emit_table(records, path, fmt="markdown"):
             fh.write(",".join(header) + "\n")
             for row in rows:
                 fh.write(",".join(row) + "\n")
-        elif fmt == "markdown":
+        else:
             fh.write("| " + " | ".join(header) + " |\n")
             fh.write("|" + "|".join(["---"] * len(header)) + "|\n")
             for row in rows:
                 fh.write("| " + " | ".join(row) + " |\n")
-        else:
-            raise ValueError(f"unknown table format {fmt!r}")
     return path
 
 
@@ -742,7 +753,7 @@ def run_invariant_checks(include_cluster=True, verbose=False) -> list:
         v /= np.linalg.norm(v)
         y = rng.standard_normal(3)
         y /= np.linalg.norm(y)
-        theta, point = mf.sphere_geodesic_project(xs, v, y)
+        theta = mf.great_circle_angle(xs, v, y)[0]
         sweep = np.linspace(-math.pi, math.pi, 1_000_000, endpoint=False)
         dots = (xs @ y) * np.cos(sweep) + (v @ y) * np.sin(sweep)
         best = sweep[int(np.argmax(dots))]

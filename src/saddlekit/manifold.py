@@ -1,11 +1,11 @@
-"""The unit sphere: tangent projection, geodesic projection, retraction-based
-constrained inner solves and intrinsic index classification.
+"""The unit sphere: tangent projection, the great-circle angle nearest a
+point, retraction-based constrained inner solves and intrinsic index
+classification.
 
 Every function takes the point alone; the dimension is ``x.size``.
 """
 
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -19,7 +19,6 @@ __all__ = [
     "check_on_sphere",
     "retract",
     "tangent_projector",
-    "sphere_geodesic_project",
     "great_circle_angle",
     "solve_constrained_subproblem",
     "constrained_index",
@@ -72,32 +71,6 @@ def tangent_projector(x) -> TangentProjector:
     return TangentProjector(normal=U[:, 0], basis=U[:, 1:])
 
 
-def sphere_geodesic_project(x, v, y):
-    """Closest point to ``y`` on the great circle through ``x`` tangent to ``v``.
-
-    Returns ``(theta, point)`` with ``point = x cos(theta) + v sin(theta)``.
-    Of the two arctan branches the one with the smaller geodesic distance is
-    kept; the antipodal tie (y orthogonal to the circle plane) resolves to
-    theta = pi/2 with a warning.
-    """
-    x = np.asarray(x, dtype=float)
-    v = np.asarray(v, dtype=float)
-    y = np.asarray(y, dtype=float)
-    for name, vec in (("x", x), ("v", v), ("y", y)):
-        if abs(np.linalg.norm(vec) - 1.0) > 1e-10:
-            raise OffManifoldError(f"{name} must be a unit vector")
-    if abs(x @ v) > 1e-10:
-        raise ValueError("v must be tangent at x")
-    theta, a, b = great_circle_angle(x, v, y)
-    if a == 0.0 and b == 0.0:
-        warnings.warn(
-            "geodesic projection is degenerate (y orthogonal to the circle); "
-            "resolving to theta = pi/2",
-            RuntimeWarning,
-        )
-    return theta, x * math.cos(theta) + v * math.sin(theta)
-
-
 def great_circle_angle(x, t, y):
     """Angle of the point of the circle ``x cos(theta) + t sin(theta)`` nearest ``y``.
 
@@ -147,9 +120,8 @@ def solve_constrained_subproblem(L, y0, cfg: SubsolveConfig) -> InnerSolve:
     """Minimize ``L`` over the unit sphere by projected descent with retraction.
 
     Tangent-projected gradients drive a Polak-Ribiere+ conjugate direction
-    (transported by projection) or plain steepest descent; trial points are
-    retracted onto the sphere before evaluation.  Convergence is measured
-    on the tangent gradient norm.
+    (transported by projection); trial points are retracted onto the sphere
+    before evaluation.  Convergence is measured on the tangent gradient norm.
     """
     y0 = np.asarray(y0, dtype=float)
     return descend(L, y0, cfg, ManifoldGeometry(y0))

@@ -90,6 +90,8 @@ class SearchConfig:
             raise ValueError("index must be >= 1")
         if self.grad_tol <= 0 or self.eig_tol <= 0:
             raise ValueError("tolerances must be positive")
+        if self.convex_inner_cap < 0:
+            raise ValueError("convex_inner_cap must be >= 0 (0 leaves escaping steps uncapped)")
         if self.on_sphere and self.sphere_variant not in ("hyperplane", "ray", "mix", "naive"):
             raise ValueError(f"unknown sphere variant {self.sphere_variant!r}")
         if self.on_sphere and (self.index != 1 or self._subsets):

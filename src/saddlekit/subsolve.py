@@ -1,9 +1,10 @@
 """Inner minimizers for the per-iteration objective, plus a Newton baseline.
 
-``descend`` is the one descent loop: steepest descent or Polak-Ribiere+
-nonlinear CG with a curvature-informed line search safeguarded by Armijo
-backtracking.  A geometry object holds the rules that differ between flat
-space and the unit sphere (:class:`saddlekit.manifold.ManifoldGeometry`).
+``descend`` is the one descent loop: Polak-Ribiere+ nonlinear CG, restarted
+on the preconditioned gradient, with a curvature-informed line search
+safeguarded by Armijo backtracking.  A geometry object holds the rules that
+differ between flat space and the unit sphere
+(:class:`saddlekit.manifold.ManifoldGeometry`).
 ``minimize`` runs the loop under :class:`FlatGeometry`, whose optional
 infinity-norm trust box around the starting point keeps the solve stable
 when the objective is unbounded below (anchor in a convex region of the
@@ -32,6 +33,8 @@ _MAX_HALVINGS = 60
 # trial step length, over |d|, when the direction has no positive curvature
 # and no step has been accepted yet
 _FIRST_STEP = 0.1
+# Newton's longest accepted step: a longer one ends the run as a failure
+_NEWTON_STEP_LIMIT = 10.0
 
 
 @dataclass(frozen=True)
@@ -41,14 +44,11 @@ class SubsolveConfig:
     ``box_radius`` bounds ``||y - y0||_inf`` over the whole solve when set.
     """
 
-    method: str = "ncg"
     max_inner_iters: int = 500
     grad_tol: float = 1e-12
     box_radius: float = None
 
     def __post_init__(self):
-        if self.method not in ("sd", "ncg"):
-            raise ValueError(f"method must be 'sd' or 'ncg', got {self.method!r}")
         if self.grad_tol <= 0 or self.max_inner_iters < 1:
             raise ValueError("tolerance and iteration budget must be positive")
         if self.box_radius is not None and self.box_radius <= 0:
@@ -137,7 +137,7 @@ def _preconditioner(L, y0):
 
 
 def descend(L, y0, cfg: SubsolveConfig, geometry) -> InnerSolve:
-    """Steepest descent or Polak-Ribiere+ NCG on ``L`` under ``geometry``'s rules.
+    """Polak-Ribiere+ NCG on ``L`` under ``geometry``'s rules.
 
     The geometry (:class:`FlatGeometry` or ``manifold.ManifoldGeometry``)
     supplies the projector that makes gradients and carried directions
@@ -210,8 +210,7 @@ def descend(L, y0, cfg: SubsolveConfig, geometry) -> InnerSolve:
         P = geometry.projector(y_trial)
         g_new = P(L.gradient(y_trial))
         z_new = geometry.precondition(g_new)
-        if (cfg.method == "ncg" and not geometry.clipped
-                and since_restart < geometry.restart_every):
+        if not geometry.clipped and since_restart < geometry.restart_every:
             g_old = P(g)
             z_old = geometry.precondition(g_old)
             beta = max(0.0, float(z_new @ (g_new - g_old)) / max(float(z_old @ g_old), 1e-300))
@@ -249,7 +248,7 @@ def minimize(L, y0, cfg: SubsolveConfig) -> InnerSolve:
     return descend(L, y0, cfg, FlatGeometry(L, y0, cfg))
 
 
-def newton_stationary(p, x0, tol=1e-10, max_iters=200, step_limit=10.0) -> NewtonResult:
+def newton_stationary(p, x0, tol=1e-10, max_iters=200) -> NewtonResult:
     """Plain Newton iteration on grad V = 0 with dense Hessian solves.
 
     Baseline root finder: converges to stationary points of any index, or
@@ -270,7 +269,7 @@ def newton_stationary(p, x0, tol=1e-10, max_iters=200, step_limit=10.0) -> Newto
             step = np.linalg.solve(H, -g)
         except np.linalg.LinAlgError:
             return NewtonResult(x, None, False, it, "singular Hessian")
-        if not np.all(np.isfinite(step)) or np.linalg.norm(step) > step_limit:
+        if not np.all(np.isfinite(step)) or np.linalg.norm(step) > _NEWTON_STEP_LIMIT:
             return NewtonResult(x, None, False, it, "step exceeded limit")
         x = x + step
     return NewtonResult(x, None, False, max_iters, "iteration budget exhausted")

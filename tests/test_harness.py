@@ -45,6 +45,18 @@ def test_config_from_dict_validation():
     with pytest.raises(ValueError):
         config_from_dict({"problem": "three_hole", "bogus": 1,
                           "start": {"point": [0, 0]}})
+    # exactly one start kind, each with only its own keys
+    circle = {"center": [0.0, 0.0], "radius": 0.2}
+    for start, named in (
+        ({}, "got \\[\\]"),
+        ({"point": [0, 0], "circle": circle}, "'circle', 'point'"),
+        ({"line": {}}, "'line'"),
+        ({"circle": {**circle, "cnt": 3}}, "'cnt'"),
+        ({"sphere_cap": {"center": [1, 0, 0], "radius": 0.1}}, "'radius'"),
+        ({"perturbed_minimum": {"amplitude": 0.05, "relax_tol": 1e-8}}, "'relax_tol'"),
+    ):
+        with pytest.raises(ValueError, match=named):
+            config_from_dict(_tiny_config(start=start))
     cfg = config_from_dict(_tiny_config())
     assert cfg.problem == "three_hole"
     assert cfg.search["alpha"] == 2.0
@@ -152,6 +164,7 @@ def test_emit_table_roundtrip(tmp_path):
     assert back == {"a": [1e-1, 1e-3, 1e-7], "b": [2e-1, 5e-4]}
     with pytest.raises(ValueError):
         emit_table(records, tmp_path / "t.x", fmt="latex")
+    assert not (tmp_path / "t.x").exists()
 
 
 def test_emit_table_empty(tmp_path):

@@ -5,11 +5,12 @@ import pytest
 
 import saddlekit as sk
 from saddlekit.errors import OffManifoldError
+from saddlekit.harness import table5_config
 from saddlekit.manifold import (
     constrained_index,
+    great_circle_angle,
     retract,
     solve_constrained_subproblem,
-    sphere_geodesic_project,
     tangent_projector,
 )
 from saddlekit.objective import COEFFICIENT_PRESETS
@@ -47,10 +48,9 @@ def test_tangent_project_requires_feasible():
 def test_geodesic_project_endpoints():
     x = np.array([1.0, 0.0, 0.0])
     v = np.array([0.0, 1.0, 0.0])
-    th, pt = sphere_geodesic_project(x, v, x)
-    assert th == 0.0 and np.allclose(pt, x)
-    th, pt = sphere_geodesic_project(x, v, v)
-    assert np.isclose(th, 0.5 * math.pi) and np.allclose(pt, v)
+    assert great_circle_angle(x, v, x) == (0.0, 1.0, 0.0)
+    th, a, b = great_circle_angle(x, v, v)
+    assert np.isclose(th, 0.5 * math.pi) and (a, b) == (0.0, 1.0)
 
 
 def test_geodesic_project_beats_sweep():
@@ -63,7 +63,8 @@ def test_geodesic_project_beats_sweep():
         v /= np.linalg.norm(v)
         y = rng.standard_normal(3)
         y /= np.linalg.norm(y)
-        theta, pt = sphere_geodesic_project(x, v, y)
+        theta = great_circle_angle(x, v, y)[0]
+        pt = x * math.cos(theta) + v * math.sin(theta)
         sweep = np.linspace(-math.pi, math.pi, 1_000_000, endpoint=False)
         dots = (x @ y) * np.cos(sweep) + (v @ y) * np.sin(sweep)
         best = sweep[int(np.argmax(dots))]
@@ -72,21 +73,11 @@ def test_geodesic_project_beats_sweep():
         assert np.isclose(pt @ y, dots.max(), atol=1e-10)
 
 
-def test_geodesic_project_degenerate_tie_warns():
+def test_geodesic_project_degenerate_tie():
     x = np.array([1.0, 0.0, 0.0])
     v = np.array([0.0, 1.0, 0.0])
     y = np.array([0.0, 0.0, 1.0])  # orthogonal to the circle plane
-    with pytest.warns(RuntimeWarning):
-        th, _ = sphere_geodesic_project(x, v, y)
-    assert np.isclose(th, 0.5 * math.pi)
-
-
-def test_geodesic_project_validation():
-    x = np.array([1.0, 0.0, 0.0])
-    with pytest.raises(OffManifoldError):
-        sphere_geodesic_project(2 * x, x, x)
-    with pytest.raises(ValueError):
-        sphere_geodesic_project(x, x, x)  # v not tangent
+    assert great_circle_angle(x, v, y) == (0.5 * math.pi, 0.0, 0.0)
 
 
 def test_constrained_solve_fixed_point(sphere_quad):
@@ -142,11 +133,7 @@ def test_sphere_search_protocol(sphere_quad):
         t -= (t @ e1) * e1
         t /= np.linalg.norm(t)
         x0 = math.cos(0.1) * e1 + math.sin(0.1) * t
-        cfg = sk.SearchConfig(on_sphere=True, sphere_variant=variant,
-                              grad_tol=5e-14, eig_tol=1e-12,
-                              subsolve=SubsolveConfig(grad_tol=1e-15, max_inner_iters=500),
-                              max_outer_iters=8)
-        rec = sk.run(sphere_quad, x0, cfg)
+        rec = sk.run(sphere_quad, x0, table5_config(variant))
         assert rec.converged
         assert rec.terminal_index == 1
         assert min(np.linalg.norm(rec.x - r) for r in refs) < 1e-13

@@ -364,6 +364,10 @@ def test_config_validation():
         sk.SearchConfig(index=0)
     with pytest.raises(ValueError):
         sk.SearchConfig(on_sphere=True, sphere_variant="geodesic")
+    # a negative cap would reach the inner solver as its iteration budget
+    # on the first escaping step and raise out of run()
+    with pytest.raises(ValueError, match="convex_inner_cap"):
+        sk.SearchConfig(convex_inner_cap=-5)
     # index-m coefficients fail at construction, by build_index_m's rule,
     # not later inside run()
     with pytest.raises(CoefficientError):
