@@ -80,7 +80,7 @@ def _orthonormalize_with_image(M, HM, drop_tol=1e-12):
     return U[:, keep], HM @ T
 
 
-def min_modes(p, x, m=1, v0=None, tol=1e-10, basis=None) -> MinModeResult:
+def min_modes(p, x, m=1, v0=None, tol=1e-10, basis=None, hessian=None) -> MinModeResult:
     """Compute the ``m`` smallest eigenpairs of the Hessian of ``p`` at ``x``.
 
     A model with ``hessian_fn`` is assembled once per call and its blocks
@@ -95,6 +95,10 @@ def min_modes(p, x, m=1, v0=None, tol=1e-10, basis=None) -> MinModeResult:
     basis : optional tangent restriction, a (d, k) matrix with orthonormal
         columns.  Eigenpairs are computed for the Hessian restricted to the
         basis span and returned in ambient coordinates.
+    hessian : optional (d, d) Hessian of ``p`` at ``x`` that the caller has
+        assembled, used (only read) in place of assembling it here; the
+        outer search passes the matrix it factors afterwards
+        (:func:`saddlekit.search.step`).  Not combined with ``basis``.
 
     Raises
     ------
@@ -114,8 +118,10 @@ def min_modes(p, x, m=1, v0=None, tol=1e-10, basis=None) -> MinModeResult:
         if basis.ndim != 2 or basis.shape[0] != d:
             raise ValueError(f"basis must be a matrix with {d} rows, got shape {basis.shape}")
         n = basis.shape[1]
+    if hessian is not None and basis is not None:
+        raise ValueError("an assembled hessian is taken for ambient problems only")
 
-    products = _hessian_products(p, x, basis)
+    products = _hessian_products(p, x, basis) if hessian is None else hessian.__matmul__
 
     def apply_h(U):
         HU = products(U)

@@ -6,6 +6,7 @@ explicit in the config and echoed into the outputs.
 """
 
 import functools
+import inspect
 import json
 import math
 import os
@@ -61,6 +62,19 @@ _START_KEYS = {
     "sphere_cap": ("center", "geodesic_distance", "count"),
     "perturbed_minimum": ("amplitude", "count"),
 }
+# the keys of the method sections: what each is unpacked into
+_SECTION_KEYS = {
+    "search": tuple(SearchConfig.__dataclass_fields__),
+    "search.subsolve": tuple(SubsolveConfig.__dataclass_fields__),
+    "gad": ("v0", "gamma", *list(inspect.signature(gad_mod.run).parameters)[2:]),
+    "newton": tuple(inspect.signature(newton_stationary).parameters)[2:],
+}
+
+
+def _check_keys(section, given, known):
+    extra = set(given) - set(known)
+    if extra:
+        raise ValueError(f"unknown {section} keys: {sorted(extra)}")
 
 
 @dataclass
@@ -85,9 +99,13 @@ class ExperimentConfig:
             raise ValueError(f"start takes exactly one of {' | '.join(_START_KEYS)}, "
                              f"got {sorted(self.start)}")
         (kind, spec), = self.start.items()
-        extra = set(spec) - set(_START_KEYS[kind]) if kind != "point" else ()
-        if extra:
-            raise ValueError(f"unknown {kind} start keys: {sorted(extra)}")
+        if kind != "point":
+            _check_keys(f"{kind} start", spec, _START_KEYS[kind])
+        # a stale key (an option since removed) fails here, before any output
+        sections = {"search": self.search, "search.subsolve": self.search.get("subsolve", {}),
+                    "gad": self.gad, "newton": self.newton}
+        for section, given in sections.items():
+            _check_keys(section, given, _SECTION_KEYS[section])
 
 
 def config_from_dict(raw: dict) -> ExperimentConfig:

@@ -52,7 +52,9 @@ class PotentialModel:
     hessian_vec_fn: callable = None
     hessian_diag_fn: callable = None  # optional preconditioner hint
     # optional assembled Hessian, x -> (d, d) symmetric array; when set, the
-    # eigensolver and the index check take products from it (see eigen)
+    # eigensolver and the index check take products from it (see eigen); the
+    # outer search overwrites a writeable result with the anchor Hessian it
+    # factors (see search.step), so each call returns a new array
     hessian_fn: callable = None
     stationary_points: tuple = ()
     extras: dict = field(default_factory=dict)
@@ -404,7 +406,9 @@ def _morse_island(spec: MorseClusterSpec = None) -> PotentialModel:
     iu, ju = np.triu_indices(n_atoms, 1)
     # frozen-frozen pairs never move: fold their energy into a constant
     static = frozen[iu] & frozen[ju]
-    ia, ja = iu[~static], ju[~static]
+    # pair indices are int32, half the memory of the default: every flat
+    # coordinate index is below 3 * n_atoms
+    ia, ja = iu[~static].astype(np.int32), ju[~static].astype(np.int32)
     rc = spec.rc
 
     if static.any():
@@ -415,7 +419,7 @@ def _morse_island(spec: MorseClusterSpec = None) -> PotentialModel:
 
     # a pair's atoms are held as the flat indices 3 * atom + xyz of their
     # coordinates, one row per pair
-    xyz = np.arange(3)
+    xyz = np.arange(3, dtype=np.int32)
     free_flat = (3 * free_idx[:, None] + xyz).ravel()
 
     def _verlet_list(full):
@@ -473,7 +477,7 @@ def _morse_island(spec: MorseClusterSpec = None) -> PotentialModel:
             # check alike, so its atom's pairs would drop out and leave every
             # value finite: pair each free atom with itself at NaN length
             # instead, which makes every value computed from here NaN
-            si = sj = 3 * free_idx[:, None] + xyz
+            si = sj = 3 * free_idx.astype(np.int32)[:, None] + xyz
             dvec = np.full((n_free, 3), np.nan)
             r = np.full(n_free, np.nan)
         phi, dphi, ddphi = _morse_pair_terms(r, spec)
@@ -528,7 +532,7 @@ def _morse_island(spec: MorseClusterSpec = None) -> PotentialModel:
         H = np.zeros((n_free, 3, n_free, 3))
         # an atom's diagonal block sums the blocks of the pairs it is in
         flat = K.reshape(-1)
-        cells = np.arange(9)
+        cells = np.arange(9, dtype=np.int32)
         sums = (np.bincount((9 * i[:, None] + cells).ravel(), flat, 9 * n_atoms)
                 + np.bincount((9 * j[:, None] + cells).ravel(), flat, 9 * n_atoms))
         f = np.arange(n_free)

@@ -21,7 +21,10 @@ from .errors import (
     OrderEstimateError,
     SubsolveError,
 )
-from .subsolve import SubsolveConfig, minimize
+from .subsolve import SubsolveConfig, cholesky_solver, minimize
+
+# rows of the anchor Hessian updated at a time: bounds the update's temporary
+_UPDATE_ROWS = 64
 
 __all__ = [
     "SearchState",
@@ -120,12 +123,47 @@ def initial_state(p, x0, cfg: SearchConfig = None) -> SearchState:
     return SearchState(x=x0, grad_norm=_grad_norm(p, x0, cfg is not None and cfg.on_sphere))
 
 
+def _anchor_hessian_solver(H, v, weight):
+    """``g -> K^{-1} g`` for the anchor Hessian ``K = H - weight v v^T`` of
+    the flat index-1 objective (``weight = (alpha + beta) lambda_1``), or
+    None when ``K`` is not positive definite.
+
+    ``H`` is overwritten with ``K`` one row block at a time, so the update
+    allocates no second matrix; only the Cholesky factor outlives the call.
+    """
+    for a in range(0, v.size, _UPDATE_ROWS):
+        H[a:a + _UPDATE_ROWS] -= (weight * v[a:a + _UPDATE_ROWS])[:, None] * v
+    try:
+        return cholesky_solver(H)
+    except np.linalg.LinAlgError:
+        return None
+
+
 def step(p, state: SearchState, cfg: SearchConfig) -> SearchState:
-    """One outer iteration from ``state.x``; returns the updated state."""
+    """One outer iteration from ``state.x``; returns the updated state.
+
+    A flat index-1 step on a model with an assembled Hessian (``hessian_fn``,
+    dimension at most ``INDEX_MAX_DIMENSION``) assembles it once: the
+    eigensolve reads it, and when the step is not escaping (see below) it
+    becomes the reversed objective's anchor Hessian
+    ``K = H - (alpha + beta) lambda_1 v v^T``, whose Cholesky factor
+    preconditions the inner solve (an inexact Newton iteration, Nocedal &
+    Wright, *Numerical Optimization*, ch. 5 and 7).  Every other step, and
+    one whose ``K`` is not positive definite, keeps the Jacobi
+    preconditioner.
+    """
     x = state.x
     basis = mf.tangent_projector(x).basis if cfg.on_sphere else None
+    flat_index1 = not cfg.on_sphere and cfg.index == 1 and not cfg._subsets
+    H = None
+    if (flat_index1 and getattr(p, "hessian_fn", None) is not None
+            and p.dimension <= INDEX_MAX_DIMENSION):
+        H = np.asarray(p.hessian_fn(x), dtype=float)
+        if not H.flags.writeable:
+            H = H.copy()
     try:
-        modes = min_modes(p, x, m=cfg.index, v0=state.modes, tol=cfg.eig_tol, basis=basis)
+        modes = min_modes(p, x, m=cfg.index, v0=state.modes, tol=cfg.eig_tol, basis=basis,
+                          hessian=H)
     except EigensolveError as exc:
         raise EigensolveError(
             f"outer iteration {state.outer_iter + 1}: {exc}", result=exc.result
@@ -145,7 +183,7 @@ def step(p, state: SearchState, cfg: SearchConfig) -> SearchState:
                 f"eigenvalue {lam[0]:.3e} > 0, so the reversed objective is "
                 "unbounded below; configure a trust box to proceed"
             )
-        if cfg.index == 1 and not cfg._subsets:
+        if flat_index1:
             L = obj.build_flat(p, x, modes.eigenvectors[:, 0], cfg.alpha, cfg.beta)
         else:
             L = obj.build_index_m(
@@ -160,11 +198,18 @@ def step(p, state: SearchState, cfg: SearchConfig) -> SearchState:
         )
         if escaping and cfg.convex_inner_cap and sub.max_inner_iters > cfg.convex_inner_cap:
             sub = replace(sub, max_inner_iters=cfg.convex_inner_cap)
+        # the factor would steer a box-limited escape step into the box's
+        # faces, so escaping steps keep the Jacobi preconditioner
+        newton = None
+        if H is not None and not escaping:
+            newton = _anchor_hessian_solver(H, modes.eigenvectors[:, 0],
+                                            (cfg.alpha + cfg.beta) * lam[0])
+        H = None  # the factor, when there is one, is all the inner solve needs
     try:
         if cfg.on_sphere:
             sol = mf.solve_constrained_subproblem(L, x, cfg.subsolve)
         else:
-            sol = minimize(L, x, sub)
+            sol = minimize(L, x, sub, precondition=newton)
     except SubsolveError as exc:
         raise SubsolveError(
             f"outer iteration {state.outer_iter + 1}: {exc}", trace=exc.trace

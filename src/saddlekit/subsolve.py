@@ -24,6 +24,7 @@ __all__ = [
     "InnerSolve",
     "NewtonResult",
     "minimize",
+    "cholesky_solver",
     "sd_single_step",
     "newton_stationary",
 ]
@@ -35,6 +36,8 @@ _MAX_HALVINGS = 60
 _FIRST_STEP = 0.1
 # Newton's longest accepted step: a longer one ends the run as a failure
 _NEWTON_STEP_LIMIT = 10.0
+# cholesky_solver's row block: its diagonal blocks are inverted once per factor
+_SOLVE_BLOCK = 64
 
 
 @dataclass(frozen=True)
@@ -84,21 +87,28 @@ def sd_single_step(L, y0, dt) -> np.ndarray:
 class FlatGeometry:
     """Flat-space rules of the descent loop, with an optional trust box.
 
-    Directions are Jacobi-preconditioned when ``L`` offers a curvature
-    hint; conjugacy restarts every ``max(4, d)`` steps and after a step
-    the box clipped; the Armijo slope is taken along the realized (clipped)
-    step and the stall test on the largest coordinate move.
+    Directions are preconditioned by ``precondition`` when the caller
+    passes one (the outer search passes ``g -> K^{-1} g`` for the anchor
+    Hessian ``K`` of a qualifying step, see :func:`saddlekit.search.step`),
+    and otherwise Jacobi-preconditioned when ``L`` offers a curvature hint;
+    conjugacy restarts every ``max(4, d)`` steps and after a step the box
+    clipped; the Armijo slope is taken along the realized (clipped) step
+    and the stall test on the largest coordinate move.
     """
 
     norm_ord = np.inf
     no_descent_hint = "the subproblem may be unbounded -- consider a trust box"
 
-    def __init__(self, L, y0, cfg: SubsolveConfig):
+    def __init__(self, L, y0, cfg: SubsolveConfig, precondition=None):
         self.lo = self.hi = None
         if cfg.box_radius is not None:
             self.lo, self.hi = y0 - cfg.box_radius, y0 + cfg.box_radius
         self.restart_every = max(4, y0.size)
-        self.scale_inv = _preconditioner(L, y0)
+        if precondition is None:
+            scale_inv = _preconditioner(L, y0)
+            if scale_inv is not None:
+                precondition = scale_inv.__mul__
+        self._precondition = precondition
         self.clipped = False
 
     @staticmethod
@@ -106,7 +116,7 @@ class FlatGeometry:
         return lambda u: u
 
     def precondition(self, g):
-        return g if self.scale_inv is None else self.scale_inv * g
+        return g if self._precondition is None else self._precondition(g)
 
     def retract(self, y, step):
         y_trial = y + step
@@ -212,7 +222,8 @@ def descend(L, y0, cfg: SubsolveConfig, geometry) -> InnerSolve:
         z_new = geometry.precondition(g_new)
         if not geometry.clipped and since_restart < geometry.restart_every:
             g_old = P(g)
-            z_old = geometry.precondition(g_old)
+            # a projector that returns g itself (flat space) leaves z current
+            z_old = z if g_old is g else geometry.precondition(g_old)
             beta = max(0.0, float(z_new @ (g_new - g_old)) / max(float(z_old @ g_old), 1e-300))
             d = -z_new + beta * P(d)
             since_restart += 1
@@ -237,15 +248,47 @@ def descend(L, y0, cfg: SubsolveConfig, geometry) -> InnerSolve:
     return InnerSolve(best_y, iters, best_gnorm)
 
 
-def minimize(L, y0, cfg: SubsolveConfig) -> InnerSolve:
+def minimize(L, y0, cfg: SubsolveConfig, precondition=None) -> InnerSolve:
     """Approximately minimize ``L`` from ``y0`` under :class:`FlatGeometry`.
 
     ``L`` has ``value``, ``gradient`` and ``hessian_vec``, and optionally
     ``precondition_diag``; a :class:`~saddlekit.potentials.PotentialModel`
-    qualifies.  See :func:`descend` for the result and the errors.
+    qualifies.  ``precondition``, a map ``g -> M^{-1} g`` for a symmetric
+    positive definite ``M`` near the Hessian of ``L`` (such as
+    :func:`cholesky_solver`), replaces the Jacobi preconditioner, whose
+    diagonal is then not read.  See :func:`descend` for the result and the
+    errors.
     """
     y0 = np.asarray(y0, dtype=float)
-    return descend(L, y0, cfg, FlatGeometry(L, y0, cfg))
+    return descend(L, y0, cfg, FlatGeometry(L, y0, cfg, precondition))
+
+
+def cholesky_solver(K):
+    """The map ``g -> K^{-1} g`` for a symmetric positive definite ``K``.
+
+    ``K`` is factored once, ``K = C C^T`` (``np.linalg.cholesky``, which
+    raises ``LinAlgError`` when ``K`` is not positive definite); each call
+    is a forward and a back substitution by row blocks of ``_SOLVE_BLOCK``,
+    with the inverses of the factor's diagonal blocks formed here (numpy
+    has no triangular solve).  Only the factor is kept, so ``K`` may be
+    dropped.
+    """
+    C = np.linalg.cholesky(K)
+    n = C.shape[0]
+    edges = list(range(0, n, _SOLVE_BLOCK)) + [n]
+    spans = list(zip(edges[:-1], edges[1:]))
+    inv = [np.linalg.inv(C[a:b, a:b]) for a, b in spans]
+
+    def solve(g):
+        y = np.empty(n)
+        for (a, b), D in zip(spans, inv):  # C y = g
+            y[a:b] = D @ (g[a:b] - C[a:b, :a] @ y[:a])
+        z = np.empty(n)
+        for (a, b), D in zip(reversed(spans), reversed(inv)):  # C^T z = y
+            z[a:b] = (y[a:b] - z[b:] @ C[b:, a:b]) @ D
+        return z
+
+    return solve
 
 
 def newton_stationary(p, x0, tol=1e-10, max_iters=200) -> NewtonResult:

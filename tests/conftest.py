@@ -1,4 +1,6 @@
+import importlib.util
 import json
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -28,11 +30,22 @@ def morse():
     return sk.make_builtin("morse_island")
 
 
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+
+
 @pytest.fixture(scope="session")
 def morse_saddle():
     """A verified index-1 saddle of the default Morse island, stored with the benchmark."""
-    path = Path(__file__).resolve().parents[1] / "perfbench" / "morse_saddle.json"
-    return np.asarray(json.loads(path.read_text())["x"], dtype=float)
+    return np.asarray(json.loads((PERFBENCH / "morse_saddle.json").read_text())["x"], dtype=float)
+
+
+@pytest.fixture(scope="session")
+def bench_workloads():
+    """The benchmark's workload module, so a test runs its protocols rather than copies."""
+    spec = importlib.util.spec_from_file_location("bench_workloads", PERFBENCH / "workloads.py")
+    module = sys.modules[spec.name] = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 def make_nan_second_derivative_models():

@@ -178,6 +178,20 @@ def test_morse_min_mode_from_assembled_hessian_matches_products(morse, morse_sad
     assert got.iterations == ref.iterations
 
 
+def test_min_modes_reads_a_caller_assembled_hessian(morse, morse_saddle):
+    # the outer search hands over the matrix it factors afterwards: the same
+    # solve as assembling it here, and the matrix is left as it was
+    x = morse_saddle + 0.05 * np.random.default_rng(32).standard_normal(morse_saddle.size)
+    H = morse.hessian_fn(x)
+    kept = H.copy()
+    got = sk.min_modes(morse, x, m=1, tol=1e-9, hessian=H)
+    ref = sk.min_modes(morse, x, m=1, tol=1e-9)
+    np.testing.assert_array_equal(got.eigenvectors, ref.eigenvectors)
+    np.testing.assert_array_equal(got.eigenvalues, ref.eigenvalues)
+    np.testing.assert_array_equal(H, kept)
+    with pytest.raises(ValueError, match="ambient"):
+        sk.min_modes(morse, x, hessian=H, basis=np.eye(morse.dimension)[:, :3])
+
 
 def test_spanning_block_adds_no_roundoff_directions():
     # in 2-d one mode and one guard vector span the space, so with finite-

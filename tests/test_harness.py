@@ -62,6 +62,24 @@ def test_config_from_dict_validation():
     assert cfg.search["alpha"] == 2.0
 
 
+@pytest.mark.parametrize("over, named", [
+    ({"method": "newton", "newton": {"step_limit": 5.0}}, "unknown newton keys: \\['step_limit'\\]"),
+    ({"search": {"subsolve": {"method": "ncg"}}}, "unknown search.subsolve keys: \\['method'\\]"),
+    ({"search": {"alpha": 2.0, "beta": 0.0, "reference": [0, 0]}}, "unknown search keys"),
+    ({"method": "gad", "gad": {"dt": 0.01, "steps": 10}}, "unknown gad keys"),
+])
+def test_stale_section_keys_fail_at_load(tmp_path, over, named):
+    # a key of an older config fails by name before any output is written
+    raw = _tiny_config(**over)
+    with pytest.raises(ValueError, match=named):
+        config_from_dict(raw)
+    path = tmp_path / "stale.yaml"
+    path.write_text(yaml.safe_dump(raw))
+    with pytest.raises(ValueError, match=named):
+        cli.main(["run", str(path), "-o", str(tmp_path / "out")])
+    assert not (tmp_path / "out").exists()
+
+
 def test_load_config_yaml(tmp_path):
     path = tmp_path / "exp.yaml"
     path.write_text(yaml.safe_dump(_tiny_config()))

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -6,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import saddlekit as sk
-from saddlekit import eigen, harness, manifold
+from saddlekit import eigen, harness, manifold, search
 from saddlekit.harness import table5_config
 from saddlekit.errors import CoefficientError, ModelRegionError, OrderEstimateError, SubsolveError
 from saddlekit.search import INDEX_MAX_DIMENSION, estimate_order, estimate_order_pooled
@@ -278,6 +279,81 @@ def test_index2_run_on_cubic():
     assert rec.converged
     assert np.linalg.norm(rec.x) < 1e-10
     assert rec.terminal_index == 2
+
+
+# -- inner solves preconditioned by the anchor Hessian's factor ---------------
+
+
+def _recording_minimize(monkeypatch):
+    """Make ``step``'s inner solves record whether each had the factor."""
+    had_factor, real = [], search.minimize
+
+    def recording(L, y0, cfg, precondition=None):
+        had_factor.append(precondition is not None)
+        return real(L, y0, cfg, precondition)
+
+    monkeypatch.setattr(search, "minimize", recording)
+    return had_factor
+
+
+def _with_assembled_hessian(p):
+    """``p`` with ``hessian_fn`` built from its products."""
+    return dataclasses.replace(p, hessian_fn=lambda x: eigen.dense_hessian(p, x))
+
+
+def test_anchor_hessian_solver_factors_the_reversed_anchor_hessian():
+    # K = H - 2 lambda_1 v v^T: positive definite at an index-1 anchor, where
+    # it overwrites H; with two negative eigenvalues it is not, and the step
+    # keeps the Jacobi preconditioner
+    H = np.diag([-1.0, 2.0, 3.0])
+    solve = search._anchor_hessian_solver(H, np.array([1.0, 0.0, 0.0]), 2.0 * -1.0)
+    np.testing.assert_array_equal(H, np.diag([1.0, 2.0, 3.0]))
+    np.testing.assert_allclose(solve(np.array([1.0, 2.0, 3.0])), [1.0, 1.0, 1.0], rtol=1e-15)
+    H = np.diag([-1.0, -2.0, 3.0])
+    assert search._anchor_hessian_solver(H, np.array([0.0, 1.0, 0.0]), 2.0 * -2.0) is None
+
+
+def test_factor_only_on_flat_index1_steps_of_assembled_models(monkeypatch, three_hole, sphere_quad):
+    had_factor = _recording_minimize(monkeypatch)
+    sp = three_hole.stationary_points[0][0]
+    cfg = _exact_cfg(alpha=1.0, beta=1.0, max_outer_iters=4)
+    # products only: no factor
+    sk.run(three_hole, sp + 0.02, cfg)
+    assert had_factor and not any(had_factor)
+    had_factor.clear()
+    # the same surface assembled: every step is a Newton-preconditioned one
+    rec = sk.run(_with_assembled_hessian(three_hole), sp + 0.02, cfg)
+    assert rec.converged and had_factor and all(had_factor)
+    had_factor.clear()
+    # index-2 steps keep Jacobi, and sphere steps never call minimize
+    q = _with_assembled_hessian(make_index2_cubic())
+    sk.run(q, np.array([0.05, -0.03, 0.02]), sk.SearchConfig(index=2, max_outer_iters=3))
+    sk.run(_with_assembled_hessian(sphere_quad), np.array([0.8, 0.6, 0.0]),
+           table5_config("ray"))
+    assert had_factor and not any(had_factor)
+
+
+def test_island_fixture_search_is_an_inexact_newton_iteration(morse, morse_saddle, bench_workloads):
+    # the benchmark's morse_refine protocol: Jacobi-preconditioned inner
+    # solves took 162 + 109 + 71 iterations from this start
+    w = bench_workloads
+    rec = sk.run(morse, w.near(morse_saddle, np.random.default_rng(100)), w.MORSE_CONFIG)
+    inner = [row[5] for row in rec.rows[1:]]
+    assert rec.converged and rec.iterations == 3 and rec.terminal_index == 1
+    assert sum(inner) <= 30, inner
+    assert w.max_atom_shift(rec.x, morse_saddle) <= 1e-12
+
+
+@pytest.mark.slow
+def test_table4_escape_steps_keep_the_jacobi_preconditioner(monkeypatch):
+    # the twelve box-limited escape steps run to the convex_inner_cap of 200
+    # on Jacobi; only the two refining steps take the factor
+    had_factor = _recording_minimize(monkeypatch)
+    (_, rec), = harness.preset_runs("table4")
+    inner = [row[5] for row in rec.rows[1:]]
+    assert rec.converged and rec.iterations == 14 and rec.terminal_index == 1
+    assert inner[:12] == [200] * 12 and sum(inner[12:]) <= 10, inner
+    assert had_factor == [False] * 12 + [True] * 2
 
 
 def test_jacobian_vanishes_on_quadratic():

@@ -3,19 +3,15 @@ import pytest
 
 import saddlekit as sk
 from saddlekit.errors import SubsolveError
-from saddlekit.subsolve import SubsolveConfig, minimize, newton_stationary, sd_single_step
+from saddlekit.subsolve import (
+    SubsolveConfig,
+    cholesky_solver,
+    minimize,
+    newton_stationary,
+    sd_single_step,
+)
 
 from conftest import make_nan_second_derivative_models
-
-
-def _convex_objective(rng, d=6):
-    Q, _ = np.linalg.qr(rng.standard_normal((d, d)))
-    H = Q @ np.diag(np.linspace(1.0, 8.0, d)) @ Q.T
-    p = sk.from_quadratic(H)
-    v = Q[:, 0]
-    # anchored far from relevance: the objective is globally convex since
-    # all curvatures are positive after reversal of a positive one is avoided
-    return sk.build_flat(p, np.zeros(d), v, 0.0, 2.0), H
 
 
 def test_ncg_exact_on_quadratic():
@@ -104,6 +100,47 @@ def test_subsolve_error_when_no_descent():
 
     with pytest.raises(SubsolveError):
         minimize(Cusped(), y0, SubsolveConfig(grad_tol=1e-10, max_inner_iters=50))
+
+
+@pytest.mark.parametrize("n", [40, 128, 150])
+def test_cholesky_solver_matches_dense_solve(n):
+    # one partial row block, whole blocks only, whole blocks and a partial one
+    rng = np.random.default_rng(4)
+    A = rng.standard_normal((n, n))
+    K = A @ A.T + n * np.eye(n)
+    solve = cholesky_solver(K)
+    for g in rng.standard_normal((3, n)):
+        z, ref = solve(g), np.linalg.solve(K, g)
+        assert np.linalg.norm(z - ref) <= 1e-13 * np.linalg.norm(ref)
+        assert np.linalg.norm(K @ z - g) <= 1e-13 * np.linalg.norm(g)
+
+
+def test_cholesky_solver_refuses_an_indefinite_matrix():
+    rng = np.random.default_rng(5)
+    Q, _ = np.linalg.qr(rng.standard_normal((80, 80)))
+    K = Q @ np.diag(np.concatenate([[-0.5], np.linspace(1.0, 4.0, 79)])) @ Q.T
+    with pytest.raises(np.linalg.LinAlgError):
+        cholesky_solver(K)
+
+
+def test_flat_descent_preconditions_each_gradient_once():
+    # flat space: the previous direction's preconditioned gradient is reused
+    # for the conjugacy coefficient, so one apply per accepted step
+    rng = np.random.default_rng(6)
+    Q, _ = np.linalg.qr(rng.standard_normal((8, 8)))
+    H = Q @ np.diag(np.linspace(1.0, 8.0, 8)) @ Q.T
+    solve = cholesky_solver(H + np.diag(np.linspace(0.0, 1.0, 8)))
+    applied = []
+
+    def precondition(g):
+        applied.append(g)
+        return solve(g)
+
+    sol = minimize(sk.from_quadratic(H), np.ones(8),
+                   SubsolveConfig(grad_tol=1e-13, max_inner_iters=50), precondition=precondition)
+    assert sol.inner_iters > 2
+    assert sol.grad_norm <= 1e-13
+    assert len(applied) == sol.inner_iters + 1
 
 
 def test_config_validation():
