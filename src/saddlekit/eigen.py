@@ -9,7 +9,12 @@ supplies the products at a point, ``H U`` or ``B^T H B U``: from the
 model's assembled Hessian when it has one (``hessian_fn``), assembled once
 per point, and otherwise one Hessian-vector product per column.  The
 solver applies it to its blocks, and ``dense_hessian`` takes the matrix
-itself from it.
+itself from it.  A caller may hand the solver its own products and
+preconditioner instead.  The outer search does so on the island's flat
+index-1 steps, where one Cholesky factor of a positive definite matrix
+near ``H`` preconditions the eigensolve (:func:`saddlekit.search.step`);
+otherwise the residuals are Jacobi-preconditioned from the model's Hessian
+diagonal (``hessian_diag_fn``), when it has one.
 """
 
 from dataclasses import dataclass
@@ -80,12 +85,16 @@ def _orthonormalize_with_image(M, HM, drop_tol=1e-12):
     return U[:, keep], HM @ T
 
 
-def min_modes(p, x, m=1, v0=None, tol=1e-10, basis=None, hessian=None) -> MinModeResult:
+def min_modes(p, x, m=1, v0=None, tol=1e-10, basis=None, products=None,
+              precondition=None) -> MinModeResult:
     """Compute the ``m`` smallest eigenpairs of the Hessian of ``p`` at ``x``.
 
     A model with ``hessian_fn`` is assembled once per call and its blocks
     are matrix products; otherwise every column costs one Hessian-vector
-    product.
+    product.  The residuals that extend the search space are
+    preconditioned by ``precondition`` when the caller passes one, and
+    otherwise by the model's Hessian diagonal (``hessian_diag_fn``,
+    ambient problems only) shifted to the current Ritz value.
 
     Parameters
     ----------
@@ -95,10 +104,16 @@ def min_modes(p, x, m=1, v0=None, tol=1e-10, basis=None, hessian=None) -> MinMod
     basis : optional tangent restriction, a (d, k) matrix with orthonormal
         columns.  Eigenpairs are computed for the Hessian restricted to the
         basis span and returned in ambient coordinates.
-    hessian : optional (d, d) Hessian of ``p`` at ``x`` that the caller has
-        assembled, used (only read) in place of assembling it here; the
-        outer search passes the matrix it factors afterwards
-        (:func:`saddlekit.search.step`).  Not combined with ``basis``.
+    products : optional map of a block ``U`` (d, k) to ``H U`` at ``x``,
+        used in place of assembling the Hessian here; the residuals reported
+        are those of these products.
+    precondition : optional map of a block of residuals ``R`` to
+        ``M^{-1} R`` for a symmetric positive definite ``M`` near ``H`` in
+        magnitude, such as :func:`saddlekit.subsolve.cholesky_solver` of
+        it; the Hessian diagonal is then not read.  The outer search passes
+        the products of the matrix it factors and that factor
+        (:func:`saddlekit.search.step`).  Neither is combined with
+        ``basis``.
 
     Raises
     ------
@@ -118,10 +133,11 @@ def min_modes(p, x, m=1, v0=None, tol=1e-10, basis=None, hessian=None) -> MinMod
         if basis.ndim != 2 or basis.shape[0] != d:
             raise ValueError(f"basis must be a matrix with {d} rows, got shape {basis.shape}")
         n = basis.shape[1]
-    if hessian is not None and basis is not None:
-        raise ValueError("an assembled hessian is taken for ambient problems only")
+    if (products is not None or precondition is not None) and basis is not None:
+        raise ValueError("caller products and preconditioners are taken for ambient problems only")
 
-    products = _hessian_products(p, x, basis) if hessian is None else hessian.__matmul__
+    if products is None:
+        products = _hessian_products(p, x, basis)
 
     def apply_h(U):
         HU = products(U)
@@ -133,10 +149,12 @@ def min_modes(p, x, m=1, v0=None, tol=1e-10, basis=None, hessian=None) -> MinMod
         raise ValueError(f"requested {m} modes from a {n}-dimensional eigenproblem")
     b = min(m + GUARD, n)
 
-    # Jacobi preconditioner from the potential's Hessian diagonal (ambient
-    # eigenproblems only); shifted toward the current Ritz value on the fly
+    # without the caller's preconditioner, Jacobi from the potential's
+    # Hessian diagonal (ambient eigenproblems only); shifted toward the
+    # current Ritz value on the fly
     pre_diag = None
-    if basis is None and getattr(p, "hessian_diag_fn", None) is not None:
+    if (precondition is None and basis is None
+            and getattr(p, "hessian_diag_fn", None) is not None):
         pre_diag = np.asarray(p.hessian_diag_fn(x), dtype=float)
 
     rng = np.random.default_rng(1234)
@@ -195,7 +213,9 @@ def min_modes(p, x, m=1, v0=None, tol=1e-10, basis=None, hessian=None) -> MinMod
                 P = HP = None
         # new search directions: preconditioned residuals orthogonalized
         # against X and P
-        if pre_diag is not None:
+        if precondition is not None:
+            W = precondition(R)
+        elif pre_diag is not None:
             denom = pre_diag - theta[0]
             span = max(1.0, float(np.abs(pre_diag).max()))
             W = R / np.maximum(denom, 1e-3 * span)[:, None]

@@ -25,6 +25,9 @@ from .subsolve import SubsolveConfig, cholesky_solver, minimize
 
 # rows of the anchor Hessian updated at a time: bounds the update's temporary
 _UPDATE_ROWS = 64
+# residual target of the Jacobi eigensolve that gives a search's first
+# factored step its reference mode (and the full eigensolve its warm start)
+_REFERENCE_TOL = 0.3
 
 __all__ = [
     "SearchState",
@@ -124,12 +127,15 @@ def initial_state(p, x0, cfg: SearchConfig = None) -> SearchState:
 
 
 def _anchor_hessian_solver(H, v, weight):
-    """``g -> K^{-1} g`` for the anchor Hessian ``K = H - weight v v^T`` of
-    the flat index-1 objective (``weight = (alpha + beta) lambda_1``), or
-    None when ``K`` is not positive definite.
+    """``g -> K^{-1} g`` for ``K = H - weight v v^T``, or None when ``K`` is
+    not positive definite.
 
-    ``H`` is overwritten with ``K`` one row block at a time, so the update
-    allocates no second matrix; only the Cholesky factor outlives the call.
+    :func:`step` calls it with its reference mode ``u`` and
+    ``weight = (alpha + beta) min(lambda_ref, 0)``, so ``K`` is the flipped
+    Hessian ``K~`` whose factor preconditions the eigensolve, and, through
+    :func:`_corrected_solver`, the inner solve.  ``H`` is overwritten with
+    ``K`` one row block at a time, so the update allocates no second
+    matrix; only the Cholesky factor needs to outlive the call.
     """
     for a in range(0, v.size, _UPDATE_ROWS):
         H[a:a + _UPDATE_ROWS] -= (weight * v[a:a + _UPDATE_ROWS])[:, None] * v
@@ -139,31 +145,84 @@ def _anchor_hessian_solver(H, v, weight):
         return None
 
 
+def _corrected_solver(solve, W, d):
+    """``g -> K^{-1} g`` for ``K = K~ + W diag(d) W^T`` from ``solve``, the
+    map ``g -> K~^{-1} g`` of a symmetric positive definite ``K~``, or None
+    when ``K`` is not positive definite.
+
+    By Sherman-Morrison-Woodbury (Golub & Van Loan, *Matrix Computations*,
+    2.1.4), with ``Z = K~^{-1} W`` and ``S = I + diag(d) W^T Z``,
+    ``K^{-1} g = K~^{-1} g - Z S^{-1} diag(d) Z^T g``, which holds for a
+    zero entry of ``d`` too: one block solve here and one solve per call.
+    ``det K = det K~ det S``, and with at most one negative entry in ``d``
+    ``K`` has at most one non-positive eigenvalue (Haynsworth inertia
+    additivity), so ``K`` is positive definite exactly when ``det S > 0``.
+    """
+    Z = solve(W)
+    S = np.eye(d.size) + d[:, None] * (W.T @ Z)
+    if not np.linalg.det(S) > 0.0:
+        return None
+    T = np.linalg.solve(S, d[:, None] * Z.T)
+    return lambda g: solve(g) - Z @ (T @ g)
+
+
+def _factored_min_mode(p, x, state, cfg):
+    """The min-mode of a flat index-1 step read through one Cholesky factor
+    (see :func:`step`): ``(modes, solve, u, c)``, with ``solve`` the map
+    ``g -> K~^{-1} g`` (None when ``K~`` is not positive definite).  ``K~``
+    itself goes out of scope on return."""
+    H = np.asarray(p.hessian_fn(x), dtype=float)
+    if not H.flags.writeable:
+        H = H.copy()
+    v0 = state.modes
+    if v0 is None:
+        ref = min_modes(p, x, tol=_REFERENCE_TOL, products=H.__matmul__)
+        v0, lam_ref = ref.eigenvectors, ref.eigenvalues[0]
+    else:
+        lam_ref = state.eigenvalues[0]
+    u = v0[:, 0]
+    c = (cfg.alpha + cfg.beta) * min(float(lam_ref), 0.0)
+    solve = _anchor_hessian_solver(H, u, c)
+    modes = min_modes(p, x, v0=v0, tol=cfg.eig_tol,
+                      products=lambda U: H @ U + c * np.outer(u, u @ U), precondition=solve)
+    return modes, solve, u, c
+
+
 def step(p, state: SearchState, cfg: SearchConfig) -> SearchState:
     """One outer iteration from ``state.x``; returns the updated state.
 
     A flat index-1 step on a model with an assembled Hessian (``hessian_fn``,
-    dimension at most ``INDEX_MAX_DIMENSION``) assembles it once: the
-    eigensolve reads it, and when the step is not escaping (see below) it
-    becomes the reversed objective's anchor Hessian
-    ``K = H - (alpha + beta) lambda_1 v v^T``, whose Cholesky factor
-    preconditions the inner solve (an inexact Newton iteration, Nocedal &
-    Wright, *Numerical Optimization*, ch. 5 and 7).  Every other step, and
-    one whose ``K`` is not positive definite, keeps the Jacobi
-    preconditioner.
+    dimension at most ``INDEX_MAX_DIMENSION``) assembles it once and factors
+    it before the eigensolve.  From a reference mode ``u`` with eigenvalue
+    ``lambda_ref`` (the previous step's, or on a search's first step those
+    of a loose Jacobi eigensolve, which then warm-starts the full one) it
+    forms ``K~ = H - c u u^T`` in place, ``c = (alpha + beta)
+    min(lambda_ref, 0)``, and takes one Cholesky factor of it:
+
+    * the eigensolve reads the products ``K~ U + c u (u^T U) = H U``,
+      preconditioned by ``K~^{-1}`` (Knyazev 2001, *SIAM J. Sci. Comput.*
+      23:517), or by the Jacobi diagonal when ``K~`` is not positive
+      definite; ``K~`` is dropped once the eigensolve returns;
+    * when the step is not escaping (see below), the inner solve is
+      preconditioned by ``K^{-1}`` for the reversed objective's anchor
+      Hessian ``K = H - (alpha + beta) lambda_1 v v^T`` of the current mode
+      ``v``, a rank-2 correction of the same factor
+      (:func:`_corrected_solver`): an inexact Newton iteration (Nocedal &
+      Wright, *Numerical Optimization*, ch. 5 and 7).
+
+    Every other step, and one whose ``K~`` or ``K`` is not positive
+    definite, keeps the Jacobi preconditioner for its inner solve.
     """
     x = state.x
     basis = mf.tangent_projector(x).basis if cfg.on_sphere else None
     flat_index1 = not cfg.on_sphere and cfg.index == 1 and not cfg._subsets
-    H = None
-    if (flat_index1 and getattr(p, "hessian_fn", None) is not None
-            and p.dimension <= INDEX_MAX_DIMENSION):
-        H = np.asarray(p.hessian_fn(x), dtype=float)
-        if not H.flags.writeable:
-            H = H.copy()
+    solve = None
     try:
-        modes = min_modes(p, x, m=cfg.index, v0=state.modes, tol=cfg.eig_tol, basis=basis,
-                          hessian=H)
+        if (flat_index1 and getattr(p, "hessian_fn", None) is not None
+                and p.dimension <= INDEX_MAX_DIMENSION):
+            modes, solve, u, c = _factored_min_mode(p, x, state, cfg)
+        else:
+            modes = min_modes(p, x, m=cfg.index, v0=state.modes, tol=cfg.eig_tol, basis=basis)
     except EigensolveError as exc:
         raise EigensolveError(
             f"outer iteration {state.outer_iter + 1}: {exc}", result=exc.result
@@ -201,10 +260,10 @@ def step(p, state: SearchState, cfg: SearchConfig) -> SearchState:
         # the factor would steer a box-limited escape step into the box's
         # faces, so escaping steps keep the Jacobi preconditioner
         newton = None
-        if H is not None and not escaping:
-            newton = _anchor_hessian_solver(H, modes.eigenvectors[:, 0],
-                                            (cfg.alpha + cfg.beta) * lam[0])
-        H = None  # the factor, when there is one, is all the inner solve needs
+        if solve is not None and not escaping:
+            newton = _corrected_solver(solve, np.column_stack([u, modes.eigenvectors[:, 0]]),
+                                       np.array([c, -(cfg.alpha + cfg.beta) * lam[0]]))
+        solve = None  # only newton, when there is one, keeps the factor
     try:
         if cfg.on_sphere:
             sol = mf.solve_constrained_subproblem(L, x, cfg.subsolve)

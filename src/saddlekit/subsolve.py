@@ -264,14 +264,18 @@ def minimize(L, y0, cfg: SubsolveConfig, precondition=None) -> InnerSolve:
 
 
 def cholesky_solver(K):
-    """The map ``g -> K^{-1} g`` for a symmetric positive definite ``K``.
+    """The map ``g -> K^{-1} g`` for a symmetric positive definite ``K``,
+    on a vector ``(n,)`` or a block of right-hand sides ``(n, k)``.
 
     ``K`` is factored once, ``K = C C^T`` (``np.linalg.cholesky``, which
     raises ``LinAlgError`` when ``K`` is not positive definite); each call
     is a forward and a back substitution by row blocks of ``_SOLVE_BLOCK``,
     with the inverses of the factor's diagonal blocks formed here (numpy
     has no triangular solve).  Only the factor is kept, so ``K`` may be
-    dropped.
+    dropped.  The outer search applies one such factor twice per refining
+    step: as the eigensolver's preconditioner on blocks, and, corrected to
+    the step's anchor Hessian, as the inner solve's on vectors
+    (:func:`saddlekit.search.step`).
     """
     C = np.linalg.cholesky(K)
     n = C.shape[0]
@@ -280,12 +284,12 @@ def cholesky_solver(K):
     inv = [np.linalg.inv(C[a:b, a:b]) for a, b in spans]
 
     def solve(g):
-        y = np.empty(n)
+        y = np.empty(g.shape)
         for (a, b), D in zip(spans, inv):  # C y = g
             y[a:b] = D @ (g[a:b] - C[a:b, :a] @ y[:a])
-        z = np.empty(n)
+        z = np.empty(g.shape)
         for (a, b), D in zip(reversed(spans), reversed(inv)):  # C^T z = y
-            z[a:b] = (y[a:b] - z[b:] @ C[b:, a:b]) @ D
+            z[a:b] = D.T @ (y[a:b] - C[b:, a:b].T @ z[b:])
         return z
 
     return solve

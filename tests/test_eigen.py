@@ -5,7 +5,7 @@ import pytest
 
 import saddlekit as sk
 from saddlekit.errors import EigensolveError
-from saddlekit import eigen, manifold
+from saddlekit import eigen, manifold, search, subsolve
 from saddlekit.manifold import tangent_projector
 
 
@@ -179,18 +179,62 @@ def test_morse_min_mode_from_assembled_hessian_matches_products(morse, morse_sad
 
 
 def test_min_modes_reads_a_caller_assembled_hessian(morse, morse_saddle):
-    # the outer search hands over the matrix it factors afterwards: the same
-    # solve as assembling it here, and the matrix is left as it was
+    # the products of a matrix the caller assembled, and no preconditioner
+    # (so Jacobi): the same solve as assembling it here, and the matrix is
+    # left as it was
     x = morse_saddle + 0.05 * np.random.default_rng(32).standard_normal(morse_saddle.size)
     H = morse.hessian_fn(x)
     kept = H.copy()
-    got = sk.min_modes(morse, x, m=1, tol=1e-9, hessian=H)
+    got = sk.min_modes(morse, x, m=1, tol=1e-9, products=H.__matmul__)
     ref = sk.min_modes(morse, x, m=1, tol=1e-9)
     np.testing.assert_array_equal(got.eigenvectors, ref.eigenvectors)
     np.testing.assert_array_equal(got.eigenvalues, ref.eigenvalues)
     np.testing.assert_array_equal(H, kept)
     with pytest.raises(ValueError, match="ambient"):
-        sk.min_modes(morse, x, hessian=H, basis=np.eye(morse.dimension)[:, :3])
+        sk.min_modes(morse, x, products=H.__matmul__, basis=np.eye(morse.dimension)[:, :3])
+    with pytest.raises(ValueError, match="ambient"):
+        sk.min_modes(morse, x, precondition=lambda R: R, basis=np.eye(morse.dimension)[:, :3])
+
+
+@pytest.mark.parametrize("amp", [0.0, 0.05])
+def test_factor_preconditioned_min_mode_matches_jacobi_and_dense(morse, morse_saddle, amp):
+    # as on a search's first island step: a loose Jacobi solve gives u, the
+    # flipped Hessian K~ = H - c u u^T is factored, and the solve reads
+    # K~ U + c u (u^T U) preconditioned by K~^{-1}
+    x = morse_saddle + amp * np.random.default_rng(33).standard_normal(morse_saddle.size)
+    tol = 1e-9
+    loose = sk.min_modes(morse, x, m=1, tol=0.3)
+    u, c = loose.eigenvectors[:, 0], 2.0 * min(loose.eigenvalues[0], 0.0)
+    K = morse.hessian_fn(x)
+    solve = search._anchor_hessian_solver(K, u, c)
+    assert solve is not None
+    got = sk.min_modes(morse, x, m=1, v0=loose.eigenvectors, tol=tol,
+                       products=lambda U: K @ U + c * np.outer(u, u @ U), precondition=solve)
+    jacobi = sk.min_modes(morse, x, m=1, tol=tol)
+    dense = sk.dense_eigensolve(morse, x)
+    lam, v = got.eigenvalues[0], got.eigenvectors[:, 0]
+    for ref_lam, ref_v in ((jacobi.eigenvalues[0], jacobi.eigenvectors[:, 0]),
+                           (dense.eigenvalues[0], dense.eigenvectors[:, 0])):
+        assert abs(lam - ref_lam) <= 1e-10 * max(1.0, abs(ref_lam))
+        assert abs(v @ ref_v) >= 1.0 - 1e-10
+    assert got.iterations < jacobi.iterations / 3
+    # the reported residual is that of the real Hessian, to roundoff
+    H = morse.hessian_fn(x)
+    res = np.linalg.norm(H @ v - lam * v)
+    assert res <= tol * max(1.0, abs(lam))
+    assert abs(res - got.residual_norms[0]) <= 1e-12
+    assert dense.eigenvalues[1] - dense.eigenvalues[0] > 0.1
+    assert not got.near_degenerate and not jacobi.near_degenerate
+
+
+def test_factor_preconditioned_min_mode_flags_a_degenerate_pair():
+    # the preconditioner leaves the gap estimate that of the real spectrum
+    H = np.diag([-1.0, -1.0, 0.5, 2.0, 3.0, 4.0])
+    solve = subsolve.cholesky_solver(H + 2.5 * np.eye(6))
+    res = sk.min_modes(sk.from_quadratic(H), np.ones(6), m=1, tol=1e-12,
+                       products=H.__matmul__, precondition=solve)
+    assert res.near_degenerate
+    assert res.eigenvalues[0] == pytest.approx(-1.0, abs=1e-12)
 
 
 def test_spanning_block_adds_no_roundoff_directions():

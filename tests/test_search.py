@@ -296,6 +296,19 @@ def _recording_minimize(monkeypatch):
     return had_factor
 
 
+def _recording_min_modes(monkeypatch):
+    """Make ``step``'s eigensolves record their LOBPCG iterations."""
+    iterations, real = [], search.min_modes
+
+    def recording(*args, **kwargs):
+        res = real(*args, **kwargs)
+        iterations.append(res.iterations)
+        return res
+
+    monkeypatch.setattr(search, "min_modes", recording)
+    return iterations
+
+
 def _with_assembled_hessian(p):
     """``p`` with ``hessian_fn`` built from its products."""
     return dataclasses.replace(p, hessian_fn=lambda x: eigen.dense_hessian(p, x))
@@ -311,6 +324,54 @@ def test_anchor_hessian_solver_factors_the_reversed_anchor_hessian():
     np.testing.assert_allclose(solve(np.array([1.0, 2.0, 3.0])), [1.0, 1.0, 1.0], rtol=1e-15)
     H = np.diag([-1.0, -2.0, 3.0])
     assert search._anchor_hessian_solver(H, np.array([0.0, 1.0, 0.0]), 2.0 * -2.0) is None
+
+
+def test_corrected_solver_refuses_an_indefinite_anchor_hessian():
+    # K~ = diag(1, 2, 3) factored from H = diag(-1, 2, 3) with u = e1 and
+    # c = 2 * -1; corrected with the true mode v = e1 it is K~ again, but a
+    # wrong mode v = e2 makes K = H + 2 e2 e2^T = diag(-1, 4, 3) indefinite,
+    # and det S <= 0 says so
+    H = np.diag([-1.0, 2.0, 3.0])
+    solve = search._anchor_hessian_solver(H, np.array([1.0, 0.0, 0.0]), 2.0 * -1.0)
+    e1, e2 = np.eye(3)[:, :2].T
+    d = np.array([2.0 * -1.0, -2.0 * -1.0])
+    same = search._corrected_solver(solve, np.column_stack([e1, e1]), d)
+    np.testing.assert_allclose(same(np.array([1.0, 2.0, 3.0])), [1.0, 1.0, 1.0], rtol=1e-15)
+    assert search._corrected_solver(solve, np.column_stack([e1, e2]), d) is None
+
+
+def test_corrected_solver_with_a_zero_weight_is_the_rank1_correction():
+    # c = 0 (the reference eigenvalue was positive): K~ = H, and the rank-2
+    # form with d = [0, w] is the rank-1 correction by v alone
+    rng = np.random.default_rng(8)
+    Q, _ = np.linalg.qr(rng.standard_normal((12, 12)))
+    H = Q @ np.diag(np.linspace(0.5, 6.0, 12)) @ Q.T
+    solve = search._anchor_hessian_solver(H.copy(), rng.standard_normal(12), 0.0)
+    u, v = rng.standard_normal(12), Q[:, 0]
+    w = 0.4
+    rank2 = search._corrected_solver(solve, np.column_stack([u, v]), np.array([0.0, w]))
+    rank1 = search._corrected_solver(solve, v[:, None], np.array([w]))
+    g = rng.standard_normal(12)
+    ref = np.linalg.solve(H + w * np.outer(v, v), g)
+    for z in (rank2(g), rank1(g)):
+        assert np.linalg.norm(z - ref) <= 1e-13 * np.linalg.norm(ref)
+
+
+def test_corrected_solver_is_the_anchor_hessian_inverse_on_the_island(morse, morse_saddle,
+                                                                      bench_workloads):
+    # a fixture start's first step: the factor of K~ (reference mode from
+    # the loose solve), corrected to the current mode, solves with
+    # K = H - (alpha + beta) lambda_1 v v^T
+    w = bench_workloads
+    cfg = w.MORSE_CONFIG
+    x = w.near(morse_saddle, np.random.default_rng(100))
+    modes, solve, u, c = search._factored_min_mode(morse, x, sk.initial_state(morse, x), cfg)
+    lam, v = modes.eigenvalues[0], modes.eigenvectors[:, 0]
+    weight = (cfg.alpha + cfg.beta) * lam
+    newton = search._corrected_solver(solve, np.column_stack([u, v]), np.array([c, -weight]))
+    g = morse.gradient(x)
+    ref = np.linalg.solve(morse.hessian_fn(x) - weight * np.outer(v, v), g)
+    assert np.linalg.norm(newton(g) - ref) <= 1e-10 * np.linalg.norm(ref)
 
 
 def test_factor_only_on_flat_index1_steps_of_assembled_models(monkeypatch, three_hole, sphere_quad):
@@ -333,27 +394,37 @@ def test_factor_only_on_flat_index1_steps_of_assembled_models(monkeypatch, three
     assert had_factor and not any(had_factor)
 
 
-def test_island_fixture_search_is_an_inexact_newton_iteration(morse, morse_saddle, bench_workloads):
-    # the benchmark's morse_refine protocol: Jacobi-preconditioned inner
-    # solves took 162 + 109 + 71 iterations from this start
+def test_island_fixture_search_is_an_inexact_newton_iteration(monkeypatch, morse, morse_saddle,
+                                                              bench_workloads):
+    # the benchmark's morse_refine protocol: from this start Jacobi-
+    # preconditioned inner solves took 162 + 109 + 71 iterations, against
+    # 15 + 4 + 1 on the factor; Jacobi-preconditioned eigensolves took
+    # 81 + 69 + 50 LOBPCG iterations, against 13 (the first step's loose
+    # solve) + 14 + 14 + 11 on the same factor
+    iterations = _recording_min_modes(monkeypatch)
     w = bench_workloads
     rec = sk.run(morse, w.near(morse_saddle, np.random.default_rng(100)), w.MORSE_CONFIG)
     inner = [row[5] for row in rec.rows[1:]]
     assert rec.converged and rec.iterations == 3 and rec.terminal_index == 1
     assert sum(inner) <= 30, inner
+    assert sum(iterations) <= 70, iterations
     assert w.max_atom_shift(rec.x, morse_saddle) <= 1e-12
 
 
 @pytest.mark.slow
 def test_table4_escape_steps_keep_the_jacobi_preconditioner(monkeypatch):
     # the twelve box-limited escape steps run to the convex_inner_cap of 200
-    # on Jacobi; only the two refining steps take the factor
+    # on Jacobi; only the two refining steps take the factor.  Their
+    # eigensolves do (K~ = H where the reference eigenvalue is positive),
+    # unless H is indefinite: 1546 LOBPCG iterations on Jacobi, 337 so
     had_factor = _recording_minimize(monkeypatch)
+    iterations = _recording_min_modes(monkeypatch)
     (_, rec), = harness.preset_runs("table4")
     inner = [row[5] for row in rec.rows[1:]]
     assert rec.converged and rec.iterations == 14 and rec.terminal_index == 1
     assert inner[:12] == [200] * 12 and sum(inner[12:]) <= 10, inner
     assert had_factor == [False] * 12 + [True] * 2
+    assert sum(iterations) <= 400, iterations
 
 
 def test_jacobian_vanishes_on_quadratic():

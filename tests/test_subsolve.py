@@ -102,17 +102,22 @@ def test_subsolve_error_when_no_descent():
         minimize(Cusped(), y0, SubsolveConfig(grad_tol=1e-10, max_inner_iters=50))
 
 
-@pytest.mark.parametrize("n", [40, 128, 150])
+@pytest.mark.parametrize("n", [40, 64, 128, 150, 200])
 def test_cholesky_solver_matches_dense_solve(n):
-    # one partial row block, whole blocks only, whole blocks and a partial one
+    # one partial row block, whole blocks only, whole blocks and a partial
+    # one; vectors, and the (n, k) blocks of the eigensolver's preconditioner
     rng = np.random.default_rng(4)
     A = rng.standard_normal((n, n))
     K = A @ A.T + n * np.eye(n)
     solve = cholesky_solver(K)
-    for g in rng.standard_normal((3, n)):
+    G = rng.standard_normal((3, n)).T
+    Z = solve(G)
+    assert Z.shape == (n, 3)
+    for g, z_block in zip(G.T, Z.T):
         z, ref = solve(g), np.linalg.solve(K, g)
         assert np.linalg.norm(z - ref) <= 1e-13 * np.linalg.norm(ref)
         assert np.linalg.norm(K @ z - g) <= 1e-13 * np.linalg.norm(g)
+        assert np.linalg.norm(z_block - ref) <= 1e-13 * np.linalg.norm(ref)
 
 
 def test_cholesky_solver_refuses_an_indefinite_matrix():
