@@ -103,7 +103,7 @@ class ManifoldGeometry:
         check_on_sphere(y0)
         self.no_descent_hint = f"constrained to sphere{y0.size - 1}"
 
-    def projector(self, y):
+    def projector(self, y, g):
         return tangent_projector(y)
 
     def precondition(self, g):

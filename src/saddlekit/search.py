@@ -86,9 +86,10 @@ class SearchConfig:
     on_sphere: bool = False
     sphere_variant: str = "ray"
     divergence_radius: float = np.inf
-    # inner-iteration cap while the anchor is in a convex region: the
-    # reversed objective is then unbounded and the solve only walks the
-    # trust box, so high precision buys nothing
+    # inner-iteration cap while escaping (convex anchor, or the previous
+    # step at the trust box's face): such a solve ends at its box-constrained
+    # minimizer, which on a rugged surface can take hundreds of iterations to
+    # reach, and an escape step's precision buys nothing
     convex_inner_cap: int = 200
 
     def __post_init__(self):
@@ -284,13 +285,20 @@ def step(p, state: SearchState, cfg: SearchConfig) -> SearchState:
     )
 
 
-@dataclass
+@dataclass(slots=True)
 class ConvergenceRecord:
     """Per-iteration search history plus the terminal classification.
 
-    ``rows`` hold (iteration, x, error, grad_norm, lambda1, inner_iters);
-    iteration 0 is the starting point.  ``error`` is None until
+    ``rows``, a read-only property, lists the history as tuples
+    (iteration, x, error, grad_norm, lambda1, inner_iters); iteration 0 is
+    the starting point, and row k is iteration k.  ``error`` is None until
     :meth:`measure` sets it to the distance from a saddle.
+
+    The rows are stored in one float64 array, row k holding grad_norm,
+    lambda1 (NaN for None), inner_iters and then x, because a caller may
+    keep many records alive (the benchmark keeps every search's); the
+    errors, once measured, sit in a second array.  ``x`` and the points of
+    ``rows`` are views of the stored array.
 
     ``status`` is one of ``converged``, ``max_iters`` (the budget ran out),
     ``cycling`` (a step that moved the point reproduced an earlier state
@@ -299,25 +307,38 @@ class ConvergenceRecord:
     such a run ends ``max_iters``.
     """
 
-    rows: list = field(default_factory=list)
     status: str = "max_iters"
     message: str = ""
     terminal_index: int = None
+    _data: np.ndarray = field(default_factory=lambda: np.empty((0, 3)), init=False, repr=False)
+    _errors: np.ndarray = field(default=None, init=False, repr=False)
 
     def add(self, iteration, x, error, grad_norm, lam1, inner_iters):
-        self.rows.append(
-            (int(iteration), np.asarray(x, float).copy(),
-             None if error is None else float(error),
-             float(grad_norm), lam1 if lam1 is None else float(lam1),
-             int(inner_iters))
-        )
+        """Append the row of ``iteration``, which must be the next one; the
+        error must be None (:meth:`measure` sets it)."""
+        if int(iteration) != len(self._data):
+            raise ValueError(f"iteration {iteration} added after {len(self._data)} rows")
+        if error is not None:
+            raise ValueError("rows are added unmeasured; measure() sets the errors")
+        row = np.concatenate((
+            [grad_norm, np.nan if lam1 is None else lam1, inner_iters],
+            np.asarray(x, dtype=float)))[None]
+        self._data = np.concatenate((self._data, row)) if len(self._data) else row
 
     def measure(self, reference):
         """Sets every row's error to |x - reference|; returns the record."""
         ref = np.asarray(reference, dtype=float)
-        self.rows = [(it, x, float(np.linalg.norm(x - ref)), gn, lam, inner)
-                     for it, x, _, gn, lam, inner in self.rows]
+        # row by row: a norm along an axis sums in another order, which
+        # moves the errors' last bits
+        self._errors = np.array([np.linalg.norm(x - ref) for x in self._data[:, 3:]])
         return self
+
+    @property
+    def rows(self):
+        errors = self.errors()
+        errors += [None] * (len(self._data) - len(errors))
+        return [(k, row[3:], err, float(row[0]), None if np.isnan(row[1]) else float(row[1]),
+                 int(row[2])) for k, (row, err) in enumerate(zip(self._data, errors))]
 
     @property
     def converged(self):
@@ -325,19 +346,21 @@ class ConvergenceRecord:
 
     @property
     def iterations(self):
-        return self.rows[-1][0] if self.rows else 0
+        return max(len(self._data) - 1, 0)
 
     @property
     def x(self):
-        return self.rows[-1][1]
+        return self._data[-1, 3:]
 
     def errors(self, include_start=True):
-        rows = self.rows if include_start else self.rows[1:]
-        return [r[2] for r in rows if r[2] is not None]
+        if self._errors is None:
+            return []
+        return [float(e) for e in self._errors[0 if include_start else 1:]]
 
     def to_csv(self, path):
         """Write the rows; the point's coordinates only when d <= 8."""
-        d = len(self.rows[0][1]) if self.rows else 0
+        rows = self.rows
+        d = len(rows[0][1]) if rows else 0
         with_x = d <= 8
         with open(path, "w", newline="") as fh:
             w = csv.writer(fh)
@@ -345,7 +368,7 @@ class ConvergenceRecord:
             if with_x:
                 head += [f"x{i}" for i in range(d)]
             w.writerow(head)
-            for it, x, err, gn, lam, inner in self.rows:
+            for it, x, err, gn, lam, inner in rows:
                 row = [
                     it,
                     "" if err is None else f"{err:.17g}",
@@ -363,8 +386,8 @@ class ConvergenceRecord:
             "message": self.message,
             "iterations": self.iterations,
             "terminal_index": self.terminal_index,
-            "terminal_x": [float(v) for v in self.x] if self.rows else None,
-            "terminal_grad_norm": self.rows[-1][3] if self.rows else None,
+            "terminal_x": [float(v) for v in self.x] if len(self._data) else None,
+            "terminal_grad_norm": float(self._data[-1, 0]) if len(self._data) else None,
             "errors": self.errors(),
         }
         try:

@@ -8,7 +8,13 @@ differ between flat space and the unit sphere
 ``minimize`` runs the loop under :class:`FlatGeometry`, whose optional
 infinity-norm trust box around the starting point keeps the solve stable
 when the objective is unbounded below (anchor in a convex region of the
-energy); accepted points are clipped into the box coordinate-wise.
+energy); accepted points are clipped into the box coordinate-wise.  A
+coordinate on a face of the box whose gradient points out of it is held,
+as in Bertsekas's projected Newton method (*SIAM J. Control Optim.*
+20:221, 1982), and convergence is tested on the gradient so projected, the
+KKT residual of the box problem, as L-BFGS-B does (Byrd, Lu, Nocedal & Zhu,
+*SIAM J. Sci. Comput.* 16:1190, 1995): a box-limited solve ends at its
+box-constrained minimizer instead of crawling along a face.
 """
 
 from dataclasses import dataclass
@@ -93,7 +99,11 @@ class FlatGeometry:
     and otherwise Jacobi-preconditioned when ``L`` offers a curvature hint;
     conjugacy restarts every ``max(4, d)`` steps and after a step the box
     clipped; the Armijo slope is taken along the realized (clipped) step
-    and the stall test on the largest coordinate move.
+    and the stall test on the largest coordinate move.  The projector at a
+    point zeroes the components of every coordinate held on a face:
+    ``y_i <= lo_i`` with ``g_i > 0``, or ``y_i >= hi_i`` with ``g_i < 0``
+    for the raw gradient ``g`` there.  Without a box, or with no coordinate
+    held, it is the identity and returns its argument itself.
     """
 
     norm_ord = np.inf
@@ -111,9 +121,13 @@ class FlatGeometry:
         self._precondition = precondition
         self.clipped = False
 
-    @staticmethod
-    def projector(y):
-        return lambda u: u
+    def projector(self, y, g):
+        if self.lo is None:
+            return _identity
+        held = ((y <= self.lo) & (g > 0.0)) | ((y >= self.hi) & (g < 0.0))
+        if not held.any():
+            return _identity
+        return lambda u: np.where(held, 0.0, u)
 
     def precondition(self, g):
         return g if self._precondition is None else self._precondition(g)
@@ -128,6 +142,10 @@ class FlatGeometry:
 
     def armijo_slope(self, g, y, y_trial, t, gd):
         return float(g @ (y_trial - y))
+
+
+def _identity(u):
+    return u
 
 
 def _preconditioner(L, y0):
@@ -150,9 +168,11 @@ def descend(L, y0, cfg: SubsolveConfig, geometry) -> InnerSolve:
     """Polak-Ribiere+ NCG on ``L`` under ``geometry``'s rules.
 
     The geometry (:class:`FlatGeometry` or ``manifold.ManifoldGeometry``)
-    supplies the projector that makes gradients and carried directions
-    admissible at a point, the preconditioner, the map from a trial step to
-    a point, the Armijo slope, the restart period and the stall-test norm.
+    supplies the projector, built at a point from the raw gradient there,
+    that makes gradients and carried directions admissible at that point,
+    the preconditioner, the map from a trial step to a point, the Armijo
+    slope, the restart period and the stall-test norm.  The stopping test
+    and the returned ``grad_norm`` read the projected gradient.
     The returned point is the best visited: never worse than ``y0`` beyond
     roundoff in the objective value (sufficient-decrease tests carry an
     eps-level slack so the solve can keep polishing the gradient once value
@@ -162,8 +182,9 @@ def descend(L, y0, cfg: SubsolveConfig, geometry) -> InnerSolve:
     """
     y = np.asarray(y0, dtype=float).copy()
     f = L.value(y)
-    P = geometry.projector(y)
-    g = P(L.gradient(y))
+    g = L.gradient(y)
+    P = geometry.projector(y, g)
+    g = P(g)
     gnorm = float(np.linalg.norm(g))
     # best-visited tracking: value decides, gradient norm breaks roundoff ties
     f_slack = 4.0 * np.finfo(float).eps * (1.0 + abs(f))
@@ -217,8 +238,9 @@ def descend(L, y0, cfg: SubsolveConfig, geometry) -> InnerSolve:
                 )
             break
 
-        P = geometry.projector(y_trial)
-        g_new = P(L.gradient(y_trial))
+        g_new = L.gradient(y_trial)
+        P = geometry.projector(y_trial, g_new)
+        g_new = P(g_new)
         z_new = geometry.precondition(g_new)
         if not geometry.clipped and since_restart < geometry.restart_every:
             g_old = P(g)

@@ -413,18 +413,28 @@ def test_island_fixture_search_is_an_inexact_newton_iteration(monkeypatch, morse
 
 @pytest.mark.slow
 def test_table4_escape_steps_keep_the_jacobi_preconditioner(monkeypatch):
-    # the twelve box-limited escape steps run to the convex_inner_cap of 200
-    # on Jacobi; only the two refining steps take the factor.  Their
-    # eigensolves do (K~ = H where the reference eigenvalue is positive),
-    # unless H is indefinite: 1546 LOBPCG iterations on Jacobi, 337 so
+    # the twelve box-limited escape steps run on Jacobi, the first eight to
+    # their box-constrained minimizer and the last four to the
+    # convex_inner_cap of 200; only the two refining steps take the factor.
+    # Their eigensolves do (K~ = H where the reference eigenvalue is
+    # positive), unless H is indefinite: 1546 LOBPCG iterations on Jacobi,
+    # 246 so
     had_factor = _recording_minimize(monkeypatch)
     iterations = _recording_min_modes(monkeypatch)
     (_, rec), = harness.preset_runs("table4")
     inner = [row[5] for row in rec.rows[1:]]
     assert rec.converged and rec.iterations == 14 and rec.terminal_index == 1
-    assert inner[:12] == [200] * 12 and sum(inner[12:]) <= 10, inner
+    assert inner[:12] == [196, 160, 164, 162, 179, 169, 170, 168, 200, 200, 200, 200], inner
+    assert sum(inner[12:]) <= 10, inner
     assert had_factor == [False] * 12 + [True] * 2
     assert sum(iterations) <= 400, iterations
+
+
+def test_table2_escape_steps_end_at_the_box_constrained_minimizer():
+    # each escape step stops once the gradient projected onto the box's
+    # faces vanishes, instead of crawling along a face to the inner cap
+    inner = [row[5] for _, rec in harness.preset_runs("table2") for row in rec.rows[1:]]
+    assert max(inner) <= 10, inner
 
 
 def test_jacobian_vanishes_on_quadratic():
@@ -492,6 +502,34 @@ def test_record_csv_and_summary(tmp_path, three_hole):
     assert data["status"] == "converged"
     assert data["terminal_index"] == 1
     assert len(data["errors"]) == len(rec.rows)
+
+
+def test_record_round_trip(tmp_path):
+    rec = sk.ConvergenceRecord()
+    rec.add(0, [1.0, 2.0], None, 0.5, None, 0)
+    rec.add(1, np.array([0.5, 0.25]), None, 1e-3, -1.5, 7)
+    (it0, x0, err0, gn0, lam0, inner0), (it1, x1, err1, gn1, lam1, inner1) = rec.rows
+    assert (it0, err0, gn0, lam0, inner0) == (0, None, 0.5, None, 0)
+    assert (it1, err1, gn1, lam1, inner1) == (1, None, 1e-3, -1.5, 7)
+    np.testing.assert_array_equal(x0, [1.0, 2.0])
+    np.testing.assert_array_equal(x1, [0.5, 0.25])
+    assert rec.errors() == [] and rec.iterations == 1
+    np.testing.assert_array_equal(rec.x, [0.5, 0.25])
+    assert rec.measure(np.zeros(2)) is rec
+    assert rec.errors() == [math.sqrt(5.0), math.sqrt(0.3125)]
+    assert rec.errors(include_start=False) == [math.sqrt(0.3125)]
+    assert [row[2] for row in rec.rows] == rec.errors()
+    rec.to_csv(tmp_path / "rec.csv")
+    assert (tmp_path / "rec.csv").read_text().splitlines() == [
+        "iter,error,grad_norm,lambda1,inner_iters,x0,x1",
+        f"0,{math.sqrt(5.0):.17g},0.5,,0,1,2",
+        f"1,{math.sqrt(0.3125):.17g},0.001,-1.5,7,0.5,0.25",
+    ]
+    with pytest.raises(ValueError):
+        rec.add(3, [0.0, 0.0], None, 0.0, -1.0, 1)  # iteration 2 skipped
+    with pytest.raises(ValueError):
+        rec.add(2, [0.0, 0.0], 0.0, 0.0, -1.0, 1)  # errors come from measure()
+    assert rec.iterations == 1
 
 
 def test_record_reproducibility(tmp_path, three_hole):

@@ -1,9 +1,12 @@
+import itertools
+
 import numpy as np
 import pytest
 
 import saddlekit as sk
 from saddlekit.errors import SubsolveError
 from saddlekit.subsolve import (
+    FlatGeometry,
     SubsolveConfig,
     cholesky_solver,
     minimize,
@@ -49,6 +52,62 @@ def test_box_is_respected_exactly(three_hole):
     sol = minimize(L, x, SubsolveConfig(grad_tol=1e-12, max_inner_iters=150, box_radius=r))
     assert np.all(np.abs(sol.y - x) <= r)  # bit-exact clipping
     assert np.max(np.abs(sol.y - x)) == r  # unbounded direction pushes to the face
+
+
+def _box_kkt_point(A, lo, hi):
+    """The minimizer of ``y.A y / 2`` (SPD ``A``) on the box ``[lo, hi]``, by
+    trying every active set for the one whose point meets the KKT conditions."""
+    d = A.shape[0]
+    for active in itertools.product((-1, 0, 1), repeat=d):
+        act = np.array(active)
+        y = np.where(act < 0, lo, hi)
+        free = act == 0
+        y[free] = np.linalg.solve(A[np.ix_(free, free)], -A[np.ix_(free, ~free)] @ y[~free])
+        g = A @ y
+        if (np.all((y >= lo) & (y <= hi)) and np.all(g[act < 0] >= 0.0)
+                and np.all(g[act > 0] <= 0.0)):
+            return y
+    raise AssertionError("no active set meets the KKT conditions")
+
+
+def test_box_limited_solve_ends_at_the_box_constrained_minimizer():
+    # the quadratic's minimizer, the origin, lies outside the box: the solve
+    # holds each coordinate on a face whose gradient points out of the box
+    # and stops on the gradient projected so, the box problem's KKT residual
+    A = np.array([[4.0, 1.0, 0.5], [1.0, 3.0, -0.4], [0.5, -0.4, 2.0]])
+    y0 = -np.linalg.solve(A, [3.0, -2.0, 0.2])
+    r = 0.25
+    cfg = SubsolveConfig(grad_tol=1e-12, max_inner_iters=200, box_radius=r)
+    sol = minimize(sk.from_quadratic(A), y0, cfg)
+    kkt = _box_kkt_point(A, y0 - r, y0 + r)
+    assert np.max(np.abs(sol.y - kkt)) <= 1e-12
+    assert sol.inner_iters <= 5 and sol.grad_norm <= cfg.grad_tol
+
+
+def test_escape_like_solve_stops_on_the_face():
+    # y0^2 - y1^2 + 0.3 y0 y1 is unbounded along y1: the solve ends on the
+    # face y1 = 0.27, at the minimizer over y0 there
+    p = sk.from_quadratic(np.array([[2.0, 0.3], [0.3, -2.0]]))
+    y0 = np.array([0.01, 0.02])
+    cfg = SubsolveConfig(grad_tol=1e-12, max_inner_iters=200, box_radius=0.25)
+    sol = minimize(p, y0, cfg)
+    assert sol.y[1] == y0[1] + 0.25
+    assert abs(sol.y[0] + 0.15 * sol.y[1]) <= 1e-12
+    assert sol.inner_iters <= 5 and sol.grad_norm <= cfg.grad_tol
+
+
+def test_flat_projector_holds_the_face_bound_coordinates():
+    p = sk.from_quadratic(np.eye(3))
+    y0 = np.zeros(3)
+    g = np.array([1.0, -1.0, 1.0])
+    boxed = FlatGeometry(p, y0, SubsolveConfig(box_radius=0.5))
+    # off the faces, or without a box, the gradient itself comes back
+    assert boxed.projector(y0, g)(g) is g
+    assert FlatGeometry(p, y0, SubsolveConfig()).projector(y0 + 0.5, g)(g) is g
+    # on the lower face a positive component points out of the box, on the
+    # upper face a negative one; an inward-pointing one stays free
+    y = np.array([-0.5, 0.5, 0.5])
+    np.testing.assert_array_equal(boxed.projector(y, g)(g), [0.0, 0.0, 1.0])
 
 
 def test_minimize_relaxes_a_potential_directly(three_hole):
