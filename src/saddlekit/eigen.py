@@ -153,8 +153,7 @@ def min_modes(p, x, m=1, v0=None, tol=1e-10, basis=None, products=None,
     # Hessian diagonal (ambient eigenproblems only); shifted toward the
     # current Ritz value on the fly
     pre_diag = None
-    if (precondition is None and basis is None
-            and getattr(p, "hessian_diag_fn", None) is not None):
+    if precondition is None and basis is None and p.hessian_diag_fn is not None:
         pre_diag = np.asarray(p.hessian_diag_fn(x), dtype=float)
 
     rng = np.random.default_rng(1234)
@@ -288,7 +287,7 @@ def _hessian_products(p, x, basis=None):
     Hessian-vector product, and the matrix is the symmetrized product with
     the identity.
     """
-    if getattr(p, "hessian_fn", None) is not None:
+    if p.hessian_fn is not None:
         H = np.asarray(p.hessian_fn(x), dtype=float)
         if basis is not None:
             H = basis.T @ H @ basis

@@ -145,6 +145,8 @@ def run(p, s0: GADState, dt, max_steps=10000, tol=1e-8, reversal=2.0,
     ones the following step uses.
     """
     _check_options(dt, exact_mode, on_sphere)
+    if max_steps < 0 or record_every < 1:
+        raise ValueError("max_steps must be non-negative and record_every positive")
     traj = GADTrajectory()
     s = s0
     for k in range(max_steps + 1):

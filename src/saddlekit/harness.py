@@ -30,7 +30,7 @@ from .search import (
     estimate_order_pooled,
     run as run_search,
 )
-from .subsolve import SubsolveConfig, minimize, newton_stationary
+from .subsolve import SubsolveConfig, jacobi_solver, minimize, newton_stationary
 
 __all__ = [
     "ExperimentConfig",
@@ -101,6 +101,8 @@ class ExperimentConfig:
         (kind, spec), = self.start.items()
         if kind != "point":
             _check_keys(f"{kind} start", spec, _START_KEYS[kind])
+            if int(spec.get("count", 1)) < 1:
+                raise ValueError(f"{kind} start count must be at least 1, got {spec['count']}")
         # a stale key (an option since removed) fails here, before any output
         sections = {"search": self.search, "search.subsolve": self.search.get("subsolve", {}),
                     "gad": self.gad, "newton": self.newton}
@@ -199,7 +201,8 @@ def _relaxed_minimum(p):
         x0 = p.extras["coords"][~p.extras["frozen"]].ravel().copy()
     else:
         raise ValueError(f"{p.name} has no built-in geometry to relax")
-    return minimize(p, x0, SubsolveConfig(grad_tol=1e-11, max_inner_iters=6000)).y
+    return minimize(p, x0, SubsolveConfig(grad_tol=1e-11, max_inner_iters=6000),
+                    precondition=jacobi_solver(p, x0)).y
 
 
 def _auto_reference(p, record: ConvergenceRecord, on_sphere=False):

@@ -212,14 +212,6 @@ class ModifiedObjective:
             out += pullback(y, hessian_vec(point(y), pullback(y, u, 1.0)), w)
         return out
 
-    def precondition_diag(self, y):
-        """Curvature-scale hint for inner solvers (None when unavailable).
-
-        The energy's own Hessian diagonal is a good enough preconditioner
-        for the reversed objective; exactness is irrelevant here.
-        """
-        return self.potential.precondition_diag(y)
-
 
 def _linear_objective(p, x, V, subset_alpha, subset_beta) -> ModifiedObjective:
     """Straight-line terms for each weighted subset of the columns of ``V``."""

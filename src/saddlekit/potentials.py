@@ -50,7 +50,7 @@ class PotentialModel:
     energy_fn: callable
     gradient_fn: callable
     hessian_vec_fn: callable = None
-    hessian_diag_fn: callable = None  # optional preconditioner hint
+    hessian_diag_fn: callable = None  # optional, read by the Jacobi preconditioners
     # optional assembled Hessian, x -> (d, d) symmetric array; when set, the
     # eigensolver and the index check take products from it (see eigen); the
     # outer search overwrites a writeable result with the anchor Hessian it
@@ -77,12 +77,6 @@ class PotentialModel:
     def value(self, x) -> float:
         """The energy, under the objective name the inner solvers call."""
         return self.energy(x)
-
-    def precondition_diag(self, x):
-        """Hessian diagonal for the inner solver's Jacobi preconditioner (None if unknown)."""
-        if self.hessian_diag_fn is None:
-            return None
-        return self.hessian_diag_fn(self._check_point(x))
 
     def hessian_vec(self, x, u) -> np.ndarray:
         """Action of the Hessian at ``x`` on ``u`` (central FD fallback)."""

@@ -16,12 +16,13 @@ from . import objective as obj
 from .eigen import INDEX_MAX_DIMENSION, min_modes, stationary_index
 from .errors import (
     ConvexRegionError,
+    DimensionError,
     EigensolveError,
     ModelRegionError,
     OrderEstimateError,
     SubsolveError,
 )
-from .subsolve import SubsolveConfig, cholesky_solver, minimize
+from .subsolve import SubsolveConfig, cholesky_solver, jacobi_solver, minimize
 
 # rows of the anchor Hessian updated at a time: bounds the update's temporary
 _UPDATE_ROWS = 64
@@ -211,16 +212,16 @@ def step(p, state: SearchState, cfg: SearchConfig) -> SearchState:
       (:func:`_corrected_solver`): an inexact Newton iteration (Nocedal &
       Wright, *Numerical Optimization*, ch. 5 and 7).
 
-    Every other step, and one whose ``K~`` or ``K`` is not positive
-    definite, keeps the Jacobi preconditioner for its inner solve.
+    Every other flat step, and one whose ``K~`` or ``K`` is not positive
+    definite, preconditions its inner solve by the energy's Hessian diagonal
+    (:func:`saddlekit.subsolve.jacobi_solver`), when the model has one.
     """
     x = state.x
     basis = mf.tangent_projector(x).basis if cfg.on_sphere else None
     flat_index1 = not cfg.on_sphere and cfg.index == 1 and not cfg._subsets
     solve = None
     try:
-        if (flat_index1 and getattr(p, "hessian_fn", None) is not None
-                and p.dimension <= INDEX_MAX_DIMENSION):
+        if flat_index1 and p.hessian_fn is not None and p.dimension <= INDEX_MAX_DIMENSION:
             modes, solve, u, c = _factored_min_mode(p, x, state, cfg)
         else:
             modes = min_modes(p, x, m=cfg.index, v0=state.modes, tol=cfg.eig_tol, basis=basis)
@@ -265,11 +266,12 @@ def step(p, state: SearchState, cfg: SearchConfig) -> SearchState:
             newton = _corrected_solver(solve, np.column_stack([u, modes.eigenvectors[:, 0]]),
                                        np.array([c, -(cfg.alpha + cfg.beta) * lam[0]]))
         solve = None  # only newton, when there is one, keeps the factor
+        precondition = newton if newton is not None else jacobi_solver(p, x)
     try:
         if cfg.on_sphere:
             sol = mf.solve_constrained_subproblem(L, x, cfg.subsolve)
         else:
-            sol = minimize(L, x, sub, precondition=newton)
+            sol = minimize(L, x, sub, precondition=precondition)
     except SubsolveError as exc:
         raise SubsolveError(
             f"outer iteration {state.outer_iter + 1}: {exc}", trace=exc.trace
@@ -326,8 +328,12 @@ class ConvergenceRecord:
         self._data = np.concatenate((self._data, row)) if len(self._data) else row
 
     def measure(self, reference):
-        """Sets every row's error to |x - reference|; returns the record."""
+        """Sets every row's error to |x - reference|; returns the record.
+        A reference not of the points' shape raises :class:`DimensionError`."""
         ref = np.asarray(reference, dtype=float)
+        shape = (self._data.shape[1] - 3,)
+        if ref.shape != shape:
+            raise DimensionError(f"reference of shape {ref.shape} for points of shape {shape}")
         # row by row: a norm along an axis sums in another order, which
         # moves the errors' last bits
         self._errors = np.array([np.linalg.norm(x - ref) for x in self._data[:, 3:]])

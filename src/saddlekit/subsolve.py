@@ -5,7 +5,9 @@ on the preconditioned gradient, with a curvature-informed line search
 safeguarded by Armijo backtracking.  A geometry object holds the rules that
 differ between flat space and the unit sphere
 (:class:`saddlekit.manifold.ManifoldGeometry`).
-``minimize`` runs the loop under :class:`FlatGeometry`, whose optional
+``minimize`` runs the loop under :class:`FlatGeometry`, preconditioned
+only by the map its caller passes (the outer search passes a corrected
+:func:`cholesky_solver` factor or :func:`jacobi_solver`).  Its optional
 infinity-norm trust box around the starting point keeps the solve stable
 when the objective is unbounded below (anchor in a convex region of the
 energy); accepted points are clipped into the box coordinate-wise.  A
@@ -31,6 +33,7 @@ __all__ = [
     "NewtonResult",
     "minimize",
     "cholesky_solver",
+    "jacobi_solver",
     "sd_single_step",
     "newton_stationary",
 ]
@@ -94,11 +97,8 @@ class FlatGeometry:
     """Flat-space rules of the descent loop, with an optional trust box.
 
     Directions are preconditioned by ``precondition`` when the caller
-    passes one (the outer search passes ``g -> K^{-1} g`` for the anchor
-    Hessian ``K`` of a qualifying step, see :func:`saddlekit.search.step`),
-    and otherwise Jacobi-preconditioned when ``L`` offers a curvature hint;
-    conjugacy restarts every ``max(4, d)`` steps and after a step the box
-    clipped; the Armijo slope is taken along the realized (clipped) step
+    passes one, and not otherwise; conjugacy restarts every ``max(4, d)``
+    steps and after a step the box clipped; the Armijo slope is taken along the realized (clipped) step
     and the stall test on the largest coordinate move.  The projector at a
     point zeroes the components of every coordinate held on a face:
     ``y_i <= lo_i`` with ``g_i > 0``, or ``y_i >= hi_i`` with ``g_i < 0``
@@ -109,15 +109,11 @@ class FlatGeometry:
     norm_ord = np.inf
     no_descent_hint = "the subproblem may be unbounded -- consider a trust box"
 
-    def __init__(self, L, y0, cfg: SubsolveConfig, precondition=None):
+    def __init__(self, y0, cfg: SubsolveConfig, precondition=None):
         self.lo = self.hi = None
         if cfg.box_radius is not None:
             self.lo, self.hi = y0 - cfg.box_radius, y0 + cfg.box_radius
         self.restart_every = max(4, y0.size)
-        if precondition is None:
-            scale_inv = _preconditioner(L, y0)
-            if scale_inv is not None:
-                precondition = scale_inv.__mul__
         self._precondition = precondition
         self.clipped = False
 
@@ -146,22 +142,6 @@ class FlatGeometry:
 
 def _identity(u):
     return u
-
-
-def _preconditioner(L, y0):
-    """Inverse-diagonal scaling from the objective's curvature hint."""
-    hint = getattr(L, "precondition_diag", None)
-    if hint is None:
-        return None
-    diag = hint(y0)
-    if diag is None:
-        return None
-    diag = np.asarray(diag, dtype=float)
-    pos = diag[diag > 0]
-    if pos.size == 0:
-        return None
-    floor = 0.05 * float(np.median(pos))
-    return 1.0 / np.maximum(diag, floor)
 
 
 def descend(L, y0, cfg: SubsolveConfig, geometry) -> InnerSolve:
@@ -273,16 +253,16 @@ def descend(L, y0, cfg: SubsolveConfig, geometry) -> InnerSolve:
 def minimize(L, y0, cfg: SubsolveConfig, precondition=None) -> InnerSolve:
     """Approximately minimize ``L`` from ``y0`` under :class:`FlatGeometry`.
 
-    ``L`` has ``value``, ``gradient`` and ``hessian_vec``, and optionally
-    ``precondition_diag``; a :class:`~saddlekit.potentials.PotentialModel`
-    qualifies.  ``precondition``, a map ``g -> M^{-1} g`` for a symmetric
-    positive definite ``M`` near the Hessian of ``L`` (such as
-    :func:`cholesky_solver`), replaces the Jacobi preconditioner, whose
-    diagonal is then not read.  See :func:`descend` for the result and the
+    ``L`` has ``value``, ``gradient`` and ``hessian_vec``; a
+    :class:`~saddlekit.potentials.PotentialModel` qualifies.  The solve is
+    preconditioned by ``precondition``, a map ``g -> M^{-1} g`` for a
+    symmetric positive definite ``M`` near the Hessian of ``L`` (such as
+    :func:`cholesky_solver` or :func:`jacobi_solver`), when given, and is
+    unpreconditioned otherwise.  See :func:`descend` for the result and the
     errors.
     """
     y0 = np.asarray(y0, dtype=float)
-    return descend(L, y0, cfg, FlatGeometry(L, y0, cfg, precondition))
+    return descend(L, y0, cfg, FlatGeometry(y0, cfg, precondition))
 
 
 def cholesky_solver(K):
@@ -315,6 +295,25 @@ def cholesky_solver(K):
         return z
 
     return solve
+
+
+def jacobi_solver(p, x):
+    """The map ``g -> g * (1 / max(D, floor))`` for the Hessian diagonal
+    ``D`` of the model ``p`` at ``x`` (``hessian_diag_fn``) and a floor of
+    5% of its median positive entry, or None when ``p`` has no diagonal or
+    ``D`` has no positive entry.
+
+    The outer search preconditions a flat inner solve with it when it has
+    no factor (:func:`saddlekit.search.step`): the energy's diagonal is
+    near enough the reversed objective's curvature scale.
+    """
+    if p.hessian_diag_fn is None:
+        return None
+    diag = np.asarray(p.hessian_diag_fn(x), dtype=float)
+    pos = diag[diag > 0]
+    if pos.size == 0:
+        return None
+    return (1.0 / np.maximum(diag, 0.05 * float(np.median(pos)))).__mul__
 
 
 def newton_stationary(p, x0, tol=1e-10, max_iters=200) -> NewtonResult:

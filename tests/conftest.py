@@ -1,12 +1,15 @@
 import importlib.util
 import json
 import sys
+import time
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 import pytest
 
 import saddlekit as sk
+from saddlekit import harness, search
 from saddlekit.harness import _fd_gradient as fd_gradient  # noqa: F401  (imported by the test modules)
 
 
@@ -46,6 +49,59 @@ def bench_workloads():
     module = sys.modules[spec.name] = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
+
+
+def record_factor_flags(monkeypatch):
+    """Make ``step``'s inner solves record whether each was preconditioned
+    by the corrected factor, the map :func:`search._corrected_solver`
+    returned for that step, rather than by Jacobi or by nothing."""
+    had_factor, corrected = [], [None]
+    real_minimize, real_corrected = search.minimize, search._corrected_solver
+
+    def correcting(*args):
+        corrected[0] = real_corrected(*args)
+        return corrected[0]
+
+    def recording(L, y0, cfg, precondition=None):
+        had_factor.append(precondition is not None and precondition is corrected[0])
+        return real_minimize(L, y0, cfg, precondition)
+
+    monkeypatch.setattr(search, "_corrected_solver", correcting)
+    monkeypatch.setattr(search, "minimize", recording)
+    return had_factor
+
+
+def record_lobpcg_iterations(monkeypatch):
+    """Make ``step``'s eigensolves record their LOBPCG iterations."""
+    iterations, real = [], search.min_modes
+
+    def recording(*args, **kwargs):
+        res = real(*args, **kwargs)
+        iterations.append(res.iterations)
+        return res
+
+    monkeypatch.setattr(search, "min_modes", recording)
+    return iterations
+
+
+class Table4Run(NamedTuple):
+    record: sk.ConvergenceRecord
+    had_factor: list  # per inner solve, see record_factor_flags
+    lobpcg_iters: list  # per eigensolve of a step
+    elapsed: float  # seconds of the preset run, recorders included
+
+
+@pytest.fixture(scope="session")
+def table4_run():
+    """The ``table4`` preset (the Morse island) run once for the tests that
+    read it, with its inner solves' factor flags and its LOBPCG iterations."""
+    with pytest.MonkeyPatch.context() as mp:
+        had_factor = record_factor_flags(mp)
+        iterations = record_lobpcg_iterations(mp)
+        t0 = time.perf_counter()
+        (_, rec), = harness.preset_runs("table4")
+        elapsed = time.perf_counter() - t0
+    return Table4Run(rec, had_factor, iterations, elapsed)
 
 
 def make_nan_second_derivative_models():

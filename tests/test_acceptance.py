@@ -3,9 +3,10 @@
 Each test exercises one acceptance criterion at its stated tolerance and
 prints a single PASS/FAIL line (run with ``pytest tests/test_acceptance.py
 -v -s`` to see them).  Criteria 03, 04, 09, 11 and 12 assert on the runs of
-the ``bench`` presets themselves (``preset_runs``, ``fig2_grids``).  Criteria
-11 and 12 are the long-running ones and are marked ``slow``; the default run
-includes them.
+the ``bench`` presets themselves (``preset_runs``, ``fig2_grids``); criterion
+11 reads the ``table4`` run it shares with the search tests (the
+``table4_run`` fixture).  Criteria 11 and 12 are the long-running ones and
+are marked ``slow``; the default run includes them.
 """
 
 import math
@@ -268,12 +269,10 @@ def test_criterion_10_index_two():
 
 
 @pytest.mark.slow
-def test_criterion_11_morse_island(morse):
-    t0 = time.perf_counter()
-    (_, rec), = preset_runs("table4")
+def test_criterion_11_morse_island(morse, table4_run):
+    rec, elapsed = table4_run.record, table4_run.elapsed
     assert rec.converged
     force_inf = float(np.abs(morse.gradient(rec.x)).max())
-    elapsed = time.perf_counter() - t0
     ok = (rec.iterations <= 16 and force_inf <= 1e-9 and rec.terminal_index == 1
           and elapsed <= 600.0)
     _report(11, ok, f"converged in {rec.iterations} iterations, "

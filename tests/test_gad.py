@@ -118,6 +118,14 @@ def test_exact_mode_is_flat_only(sphere_quad):
         gad.run(sphere_quad, s, dt=0.01, exact_mode=True, on_sphere=True)
 
 
+@pytest.mark.parametrize("budget", [{"record_every": 0}, {"max_steps": -1}],
+                         ids=["record_every", "max_steps"])
+def test_run_refuses_a_bad_budget(double_well2, budget):
+    s = gad.GADState(x=np.array([0.1, 0.1]), v=np.array([1.0, 0.0]))
+    with pytest.raises(ValueError, match="max_steps must be non-negative and record_every positive"):
+        gad.run(double_well2, s, dt=0.01, **budget)
+
+
 def test_trajectory_csv(tmp_path, double_well2):
     s0 = gad.GADState(x=np.array([0.2, 0.1]), v=np.array([1.0, 0.0]))
     traj = gad.run(double_well2, s0, dt=0.02, max_steps=200, tol=1e-12, record_every=10)

@@ -54,6 +54,11 @@ def test_config_from_dict_validation():
         ({"circle": {**circle, "cnt": 3}}, "'cnt'"),
         ({"sphere_cap": {"center": [1, 0, 0], "radius": 0.1}}, "'radius'"),
         ({"perturbed_minimum": {"amplitude": 0.05, "relax_tol": 1e-8}}, "'relax_tol'"),
+        # no point to run, where an empty run list would read all_converged
+        ({"circle": {**circle, "count": 0}}, "circle start count must be at least 1, got 0"),
+        ({"sphere_cap": {"center": [1, 0, 0], "geodesic_distance": 0.1, "count": 0}},
+         "sphere_cap start count must be at least 1"),
+        ({"perturbed_minimum": {"count": -1}}, "perturbed_minimum start count must be at least 1"),
     ):
         with pytest.raises(ValueError, match=named):
             config_from_dict(_tiny_config(start=start))
@@ -121,6 +126,12 @@ def test_run_experiment_measures_to_configured_reference(tmp_path, reference):
                         usecols=(5, 6), ndmin=2)
         expected = [] if reference is None else list(np.linalg.norm(xs - reference, axis=1))
         assert r["errors"] == pytest.approx(expected, rel=1e-15)
+
+
+@pytest.mark.parametrize("reference", [[7.0], [0.0, -0.3, 0.0]], ids=["length1", "length3"])
+def test_run_experiment_refuses_a_reference_of_another_shape(tmp_path, reference):
+    with pytest.raises(sk.DimensionError, match=r"for points of shape \(2,\)"):
+        run_experiment(config_from_dict(_tiny_config(reference=reference)), tmp_path)
 
 
 README = Path(__file__).resolve().parents[1] / "README.md"

@@ -256,12 +256,9 @@ def test_morse_hessian_diag_matches_hessian_vec(morse):
         assert np.isclose(diag[i], morse.hessian_vec(x, e)[i], rtol=1e-10)
 
 
-def test_potential_is_an_inner_solver_objective(three_hole, morse):
+def test_potential_is_an_inner_solver_objective(three_hole):
     x = np.array([0.3, -0.2])
     assert three_hole.value(x) == three_hole.energy(x)
-    assert three_hole.precondition_diag(x) is None
-    xm = morse.extras["coords"][~morse.extras["frozen"]].ravel()
-    np.testing.assert_array_equal(morse.precondition_diag(xm), morse.hessian_diag_fn(xm))
 
 
 def test_morse_values_do_not_depend_on_where_the_pair_list_was_built():
@@ -352,7 +349,7 @@ def test_morse_remembered_geometry_matches_a_fresh_model(morse_saddle):
         return y - ((y - morse_saddle) @ v) * v
 
     calls = (lambda p, x: p.energy(x), lambda p, x: p.gradient(x),
-             lambda p, x: p.hessian_vec(x, u), lambda p, x: p.precondition_diag(x),
+             lambda p, x: p.hessian_vec(x, u), lambda p, x: p.hessian_diag_fn(x),
              lambda p, x: p.hessian_fn(x))
 
     def check(x, first):
@@ -398,7 +395,7 @@ def test_morse_remembered_geometry_matches_a_fresh_model(morse_saddle):
             # nor through a writable array it is a view of
             assert arr.base is None or not arr.base.flags.writeable
     model.gradient(y)[:] = 0.0
-    model.precondition_diag(y)[:] = 0.0
+    model.hessian_diag_fn(y)[:] = 0.0
     check(y, 1)
 
 

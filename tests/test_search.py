@@ -9,11 +9,22 @@ from hypothesis import strategies as st
 import saddlekit as sk
 from saddlekit import eigen, harness, manifold, search
 from saddlekit.harness import table5_config
-from saddlekit.errors import CoefficientError, ModelRegionError, OrderEstimateError, SubsolveError
+from saddlekit.errors import (
+    CoefficientError,
+    DimensionError,
+    ModelRegionError,
+    OrderEstimateError,
+    SubsolveError,
+)
 from saddlekit.search import INDEX_MAX_DIMENSION, estimate_order, estimate_order_pooled
 from saddlekit.subsolve import SubsolveConfig
 
-from conftest import make_index2_cubic, make_nan_second_derivative_models
+from conftest import (
+    make_index2_cubic,
+    make_nan_second_derivative_models,
+    record_factor_flags,
+    record_lobpcg_iterations,
+)
 
 
 def _exact_cfg(**kw):
@@ -284,31 +295,6 @@ def test_index2_run_on_cubic():
 # -- inner solves preconditioned by the anchor Hessian's factor ---------------
 
 
-def _recording_minimize(monkeypatch):
-    """Make ``step``'s inner solves record whether each had the factor."""
-    had_factor, real = [], search.minimize
-
-    def recording(L, y0, cfg, precondition=None):
-        had_factor.append(precondition is not None)
-        return real(L, y0, cfg, precondition)
-
-    monkeypatch.setattr(search, "minimize", recording)
-    return had_factor
-
-
-def _recording_min_modes(monkeypatch):
-    """Make ``step``'s eigensolves record their LOBPCG iterations."""
-    iterations, real = [], search.min_modes
-
-    def recording(*args, **kwargs):
-        res = real(*args, **kwargs)
-        iterations.append(res.iterations)
-        return res
-
-    monkeypatch.setattr(search, "min_modes", recording)
-    return iterations
-
-
 def _with_assembled_hessian(p):
     """``p`` with ``hessian_fn`` built from its products."""
     return dataclasses.replace(p, hessian_fn=lambda x: eigen.dense_hessian(p, x))
@@ -375,7 +361,7 @@ def test_corrected_solver_is_the_anchor_hessian_inverse_on_the_island(morse, mor
 
 
 def test_factor_only_on_flat_index1_steps_of_assembled_models(monkeypatch, three_hole, sphere_quad):
-    had_factor = _recording_minimize(monkeypatch)
+    had_factor = record_factor_flags(monkeypatch)
     sp = three_hole.stationary_points[0][0]
     cfg = _exact_cfg(alpha=1.0, beta=1.0, max_outer_iters=4)
     # products only: no factor
@@ -401,7 +387,7 @@ def test_island_fixture_search_is_an_inexact_newton_iteration(monkeypatch, morse
     # 15 + 4 + 1 on the factor; Jacobi-preconditioned eigensolves took
     # 81 + 69 + 50 LOBPCG iterations, against 13 (the first step's loose
     # solve) + 14 + 14 + 11 on the same factor
-    iterations = _recording_min_modes(monkeypatch)
+    iterations = record_lobpcg_iterations(monkeypatch)
     w = bench_workloads
     rec = sk.run(morse, w.near(morse_saddle, np.random.default_rng(100)), w.MORSE_CONFIG)
     inner = [row[5] for row in rec.rows[1:]]
@@ -412,22 +398,20 @@ def test_island_fixture_search_is_an_inexact_newton_iteration(monkeypatch, morse
 
 
 @pytest.mark.slow
-def test_table4_escape_steps_keep_the_jacobi_preconditioner(monkeypatch):
+def test_table4_escape_steps_keep_the_jacobi_preconditioner(table4_run):
     # the twelve box-limited escape steps run on Jacobi, the first eight to
     # their box-constrained minimizer and the last four to the
     # convex_inner_cap of 200; only the two refining steps take the factor.
     # Their eigensolves do (K~ = H where the reference eigenvalue is
     # positive), unless H is indefinite: 1546 LOBPCG iterations on Jacobi,
     # 246 so
-    had_factor = _recording_minimize(monkeypatch)
-    iterations = _recording_min_modes(monkeypatch)
-    (_, rec), = harness.preset_runs("table4")
+    rec = table4_run.record
     inner = [row[5] for row in rec.rows[1:]]
     assert rec.converged and rec.iterations == 14 and rec.terminal_index == 1
     assert inner[:12] == [196, 160, 164, 162, 179, 169, 170, 168, 200, 200, 200, 200], inner
     assert sum(inner[12:]) <= 10, inner
-    assert had_factor == [False] * 12 + [True] * 2
-    assert sum(iterations) <= 400, iterations
+    assert table4_run.had_factor == [False] * 12 + [True] * 2
+    assert sum(table4_run.lobpcg_iters) <= 400, table4_run.lobpcg_iters
 
 
 def test_table2_escape_steps_end_at_the_box_constrained_minimizer():
@@ -530,6 +514,16 @@ def test_record_round_trip(tmp_path):
     with pytest.raises(ValueError):
         rec.add(2, [0.0, 0.0], 0.0, 0.0, -1.0, 1)  # errors come from measure()
     assert rec.iterations == 1
+
+
+@pytest.mark.parametrize("reference", [[7.0], [0.0, 0.0, 0.0]], ids=["length1", "length3"])
+def test_measure_refuses_a_reference_of_another_shape(reference):
+    # a length-1 reference would broadcast into errors against (7, 7)
+    rec = sk.ConvergenceRecord()
+    rec.add(0, [1.0, 2.0], None, 0.5, None, 0)
+    with pytest.raises(DimensionError, match=r"shape \(\d,\) for points of shape \(2,\)"):
+        rec.measure(reference)
+    assert rec.errors() == []
 
 
 def test_record_reproducibility(tmp_path, three_hole):

@@ -9,6 +9,7 @@ from saddlekit.subsolve import (
     FlatGeometry,
     SubsolveConfig,
     cholesky_solver,
+    jacobi_solver,
     minimize,
     newton_stationary,
     sd_single_step,
@@ -97,17 +98,30 @@ def test_escape_like_solve_stops_on_the_face():
 
 
 def test_flat_projector_holds_the_face_bound_coordinates():
-    p = sk.from_quadratic(np.eye(3))
     y0 = np.zeros(3)
     g = np.array([1.0, -1.0, 1.0])
-    boxed = FlatGeometry(p, y0, SubsolveConfig(box_radius=0.5))
+    boxed = FlatGeometry(y0, SubsolveConfig(box_radius=0.5))
     # off the faces, or without a box, the gradient itself comes back
     assert boxed.projector(y0, g)(g) is g
-    assert FlatGeometry(p, y0, SubsolveConfig()).projector(y0 + 0.5, g)(g) is g
+    assert FlatGeometry(y0, SubsolveConfig()).projector(y0 + 0.5, g)(g) is g
     # on the lower face a positive component points out of the box, on the
     # upper face a negative one; an inward-pointing one stays free
     y = np.array([-0.5, 0.5, 0.5])
     np.testing.assert_array_equal(boxed.projector(y, g)(g), [0.0, 0.0, 1.0])
+
+
+def test_jacobi_solver_scales_by_the_floored_hessian_diagonal(three_hole, morse, morse_saddle):
+    # no diagonal, or no positive entry in it: no map
+    assert jacobi_solver(three_hole, np.array([0.3, -0.2])) is None
+    flat = sk.PotentialModel("flat", 3, lambda x: 0.0, lambda x: np.zeros(3),
+                             hessian_diag_fn=lambda x: np.array([0.0, -1.0, 0.0]))
+    assert jacobi_solver(flat, np.zeros(3)) is None
+    # on the island, the diagonal floored at 5% of its median positive entry
+    x = morse_saddle
+    d = morse.hessian_diag_fn(x)
+    g = morse.gradient(x + 0.01)
+    np.testing.assert_array_equal(jacobi_solver(morse, x)(g),
+                                  g * (1.0 / np.maximum(d, 0.05 * np.median(d[d > 0]))))
 
 
 def test_minimize_relaxes_a_potential_directly(three_hole):
