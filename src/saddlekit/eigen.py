@@ -10,11 +10,11 @@ model's assembled Hessian when it has one (``hessian_fn``), assembled once
 per point, and otherwise one Hessian-vector product per column.  The
 solver applies it to its blocks, and ``dense_hessian`` takes the matrix
 itself from it.  A caller may hand the solver its own products and
-preconditioner instead.  The outer search does so on the island's flat
-index-1 steps, where one Cholesky factor of a positive definite matrix
-near ``H`` preconditions the eigensolve (:func:`saddlekit.search.step`);
-otherwise the residuals are Jacobi-preconditioned from the model's Hessian
-diagonal (``hessian_diag_fn``), when it has one.
+preconditioner instead, or none.  The outer search does so on every flat
+step of a model with ``hessian_fn``: it assembles ``H`` once, and one
+Cholesky factor of a positive definite matrix near ``H``, or the Jacobi
+map of ``H``'s diagonal, preconditions the eigensolve
+(:func:`saddlekit.search.step`).
 """
 
 from dataclasses import dataclass
@@ -93,8 +93,7 @@ def min_modes(p, x, m=1, v0=None, tol=1e-10, basis=None, products=None,
     are matrix products; otherwise every column costs one Hessian-vector
     product.  The residuals that extend the search space are
     preconditioned by ``precondition`` when the caller passes one, and
-    otherwise by the model's Hessian diagonal (``hessian_diag_fn``,
-    ambient problems only) shifted to the current Ritz value.
+    are used as they are otherwise.
 
     Parameters
     ----------
@@ -110,10 +109,10 @@ def min_modes(p, x, m=1, v0=None, tol=1e-10, basis=None, products=None,
     precondition : optional map of a block of residuals ``R`` to
         ``M^{-1} R`` for a symmetric positive definite ``M`` near ``H`` in
         magnitude, such as :func:`saddlekit.subsolve.cholesky_solver` of
-        it; the Hessian diagonal is then not read.  The outer search passes
-        the products of the matrix it factors and that factor
-        (:func:`saddlekit.search.step`).  Neither is combined with
-        ``basis``.
+        it or :func:`saddlekit.subsolve.jacobi_solver` of its diagonal.
+        The outer search passes the products of the matrix it assembles
+        and one of those two maps (:func:`saddlekit.search.step`).
+        Neither is combined with ``basis``.
 
     Raises
     ------
@@ -148,13 +147,6 @@ def min_modes(p, x, m=1, v0=None, tol=1e-10, basis=None, products=None,
     if m < 1 or m > n:
         raise ValueError(f"requested {m} modes from a {n}-dimensional eigenproblem")
     b = min(m + GUARD, n)
-
-    # without the caller's preconditioner, Jacobi from the potential's
-    # Hessian diagonal (ambient eigenproblems only); shifted toward the
-    # current Ritz value on the fly
-    pre_diag = None
-    if precondition is None and basis is None and p.hessian_diag_fn is not None:
-        pre_diag = np.asarray(p.hessian_diag_fn(x), dtype=float)
 
     rng = np.random.default_rng(1234)
     if v0 is not None:
@@ -212,14 +204,7 @@ def min_modes(p, x, m=1, v0=None, tol=1e-10, basis=None, products=None,
                 P = HP = None
         # new search directions: preconditioned residuals orthogonalized
         # against X and P
-        if precondition is not None:
-            W = precondition(R)
-        elif pre_diag is not None:
-            denom = pre_diag - theta[0]
-            span = max(1.0, float(np.abs(pre_diag).max()))
-            W = R / np.maximum(denom, 1e-3 * span)[:, None]
-        else:
-            W = R.copy()
+        W = R.copy() if precondition is None else precondition(R)
         w_norms = np.linalg.norm(W, axis=0)
         for _ in range(2):
             W -= X @ (X.T @ W)

@@ -21,7 +21,7 @@ from . import manifold as mf
 # unused here since run() classifies terminal points; the benchmark's
 # traced run rebinds this name, so it stays importable
 from .eigen import stationary_index  # noqa: F401
-from .errors import OrderEstimateError
+from .errors import DimensionError, OrderEstimateError
 from .objective import COEFFICIENT_PRESETS, build_flat
 from .potentials import make_builtin, morse_full_coordinates, write_xyz
 from .search import (
@@ -197,12 +197,12 @@ def _on_cap(rng, center, dist):
 
 
 def _relaxed_minimum(p):
-    if "coords" in p.extras:
-        x0 = p.extras["coords"][~p.extras["frozen"]].ravel().copy()
-    else:
+    if "coords" not in p.extras:
         raise ValueError(f"{p.name} has no built-in geometry to relax")
+    x0 = p.extras["coords"][~p.extras["frozen"]].ravel().copy()
+    # hessian_fn, not dense_hessian, which refuses islands above INDEX_MAX_DIMENSION
     return minimize(p, x0, SubsolveConfig(grad_tol=1e-11, max_inner_iters=6000),
-                    precondition=jacobi_solver(p, x0)).y
+                    precondition=jacobi_solver(np.diagonal(p.hessian_fn(x0)))).y
 
 
 def _auto_reference(p, record: ConvergenceRecord, on_sphere=False):
@@ -235,8 +235,17 @@ def run_experiment(cfg: ExperimentConfig, out_dir) -> dict:
     Returns the summary dict; ``summary["all_converged"]`` drives the CLI
     exit code.
     """
-    os.makedirs(out_dir, exist_ok=True)
     p = make_builtin(cfg.problem, cfg.problem_params)
+    # the reference is checked before any search runs or any output is written
+    reference, shape = cfg.reference, (p.dimension,)
+    if isinstance(reference, str) and reference != "auto":
+        raise ValueError(f'reference must be "auto", null or a point of shape {shape}, '
+                         f'got {reference!r}')
+    if reference is not None and not isinstance(reference, str):
+        reference = np.asarray(reference, dtype=float)
+        if reference.shape != shape:
+            raise DimensionError(f"reference of shape {reference.shape} for points of shape {shape}")
+    os.makedirs(out_dir, exist_ok=True)
     starts, seed = _starts(cfg, p)
 
     runs = []
@@ -246,10 +255,10 @@ def run_experiment(cfg: ExperimentConfig, out_dir) -> dict:
         if cfg.method == "imf":
             scfg = _search_config(cfg)
             record = run_search(p, x0, scfg)
-            if cfg.reference == "auto":
+            if isinstance(reference, str):  # "auto"
                 _auto_reference(p, record, on_sphere=scfg.on_sphere)
-            elif cfg.reference is not None:
-                record.measure(cfg.reference)
+            elif reference is not None:
+                record.measure(reference)
             path = os.path.join(out_dir, f"{cfg.label}_run{k}.csv")
             record.to_csv(path)
             entry.update(record.summary())
@@ -311,17 +320,13 @@ def run_experiment(cfg: ExperimentConfig, out_dir) -> dict:
 
 
 def emit_table(records, path, fmt="markdown"):
-    """Render per-iteration error columns for a list of (label, record).
-
-    ``records`` may hold :class:`ConvergenceRecord` objects or plain error
-    lists.  Formats: csv, json, markdown.
+    """Render per-iteration error columns for a list of (label, record),
+    each a measured :class:`ConvergenceRecord`.  Formats: csv, json,
+    markdown.
     """
     if fmt not in ("csv", "json", "markdown"):
         raise ValueError(f"unknown table format {fmt!r}")
-    cols = []
-    for label, rec in records:
-        errs = rec.errors(include_start=False) if hasattr(rec, "errors") else list(rec)
-        cols.append((str(label), [float(e) for e in errs]))
+    cols = [(str(label), rec.errors(include_start=False)) for label, rec in records]
     depth = max((len(c) for _, c in cols), default=0)
     if fmt == "json":
         write_json(path, {label: errs for label, errs in cols})

@@ -168,17 +168,21 @@ def _corrected_solver(solve, W, d):
     return lambda g: solve(g) - Z @ (T @ g)
 
 
-def _factored_min_mode(p, x, state, cfg):
-    """The min-mode of a flat index-1 step read through one Cholesky factor
-    (see :func:`step`): ``(modes, solve, u, c)``, with ``solve`` the map
-    ``g -> K~^{-1} g`` (None when ``K~`` is not positive definite).  ``K~``
-    itself goes out of scope on return."""
+def _assembled_min_modes(p, x, state, cfg, index1):
+    """The min-modes of a flat step read from one assembly of ``H`` (see
+    :func:`step`): ``(modes, jacobi, solve, u, c)``, with ``jacobi`` the map
+    of ``H``'s diagonal; ``solve`` (the map ``g -> K~^{-1} g``, None when
+    ``K~`` is not positive definite), ``u`` and ``c`` are None unless ``index1``."""
     H = np.asarray(p.hessian_fn(x), dtype=float)
+    jacobi = jacobi_solver(np.diagonal(H))
+    if not index1:
+        return min_modes(p, x, m=cfg.index, v0=state.modes, tol=cfg.eig_tol,
+                         products=H.__matmul__, precondition=jacobi), jacobi, None, None, None
     if not H.flags.writeable:
         H = H.copy()
     v0 = state.modes
     if v0 is None:
-        ref = min_modes(p, x, tol=_REFERENCE_TOL, products=H.__matmul__)
+        ref = min_modes(p, x, tol=_REFERENCE_TOL, products=H.__matmul__, precondition=jacobi)
         v0, lam_ref = ref.eigenvectors, ref.eigenvalues[0]
     else:
         lam_ref = state.eigenvalues[0]
@@ -186,24 +190,28 @@ def _factored_min_mode(p, x, state, cfg):
     c = (cfg.alpha + cfg.beta) * min(float(lam_ref), 0.0)
     solve = _anchor_hessian_solver(H, u, c)
     modes = min_modes(p, x, v0=v0, tol=cfg.eig_tol,
-                      products=lambda U: H @ U + c * np.outer(u, u @ U), precondition=solve)
-    return modes, solve, u, c
+                      products=lambda U: H @ U + c * np.outer(u, u @ U),
+                      precondition=jacobi if solve is None else solve)
+    return modes, jacobi, solve, u, c
 
 
 def step(p, state: SearchState, cfg: SearchConfig) -> SearchState:
     """One outer iteration from ``state.x``; returns the updated state.
 
-    A flat index-1 step on a model with an assembled Hessian (``hessian_fn``,
-    dimension at most ``INDEX_MAX_DIMENSION``) assembles it once and factors
-    it before the eigensolve.  From a reference mode ``u`` with eigenvalue
-    ``lambda_ref`` (the previous step's, or on a search's first step those
-    of a loose Jacobi eigensolve, which then warm-starts the full one) it
-    forms ``K~ = H - c u u^T`` in place, ``c = (alpha + beta)
-    min(lambda_ref, 0)``, and takes one Cholesky factor of it:
+    A flat step on a model with an assembled Hessian (``hessian_fn``,
+    dimension at most ``INDEX_MAX_DIMENSION``) assembles it once and takes
+    the step's one Jacobi map from its diagonal
+    (:func:`saddlekit.subsolve.jacobi_solver`); an index-m eigensolve reads
+    ``H`` under that map.  An index-1 step factors ``H`` before the
+    eigensolve.  From a reference mode ``u`` with eigenvalue ``lambda_ref``
+    (the previous step's, or on a search's first step those of a loose
+    Jacobi eigensolve, which then warm-starts the full one) it forms
+    ``K~ = H - c u u^T`` in place, ``c = (alpha + beta) min(lambda_ref,
+    0)``, and takes one Cholesky factor of it:
 
     * the eigensolve reads the products ``K~ U + c u (u^T U) = H U``,
       preconditioned by ``K~^{-1}`` (Knyazev 2001, *SIAM J. Sci. Comput.*
-      23:517), or by the Jacobi diagonal when ``K~`` is not positive
+      23:517), or by the Jacobi map when ``K~`` is not positive
       definite; ``K~`` is dropped once the eigensolve returns;
     * when the step is not escaping (see below), the inner solve is
       preconditioned by ``K^{-1}`` for the reversed objective's anchor
@@ -212,17 +220,16 @@ def step(p, state: SearchState, cfg: SearchConfig) -> SearchState:
       (:func:`_corrected_solver`): an inexact Newton iteration (Nocedal &
       Wright, *Numerical Optimization*, ch. 5 and 7).
 
-    Every other flat step, and one whose ``K~`` or ``K`` is not positive
-    definite, preconditions its inner solve by the energy's Hessian diagonal
-    (:func:`saddlekit.subsolve.jacobi_solver`), when the model has one.
+    Every other flat inner solve takes the Jacobi map, which a model
+    without ``hessian_fn`` does not have: its steps are unpreconditioned.
     """
     x = state.x
     basis = mf.tangent_projector(x).basis if cfg.on_sphere else None
     flat_index1 = not cfg.on_sphere and cfg.index == 1 and not cfg._subsets
-    solve = None
+    solve = jacobi = None
     try:
-        if flat_index1 and p.hessian_fn is not None and p.dimension <= INDEX_MAX_DIMENSION:
-            modes, solve, u, c = _factored_min_mode(p, x, state, cfg)
+        if not cfg.on_sphere and p.hessian_fn is not None and p.dimension <= INDEX_MAX_DIMENSION:
+            modes, jacobi, solve, u, c = _assembled_min_modes(p, x, state, cfg, flat_index1)
         else:
             modes = min_modes(p, x, m=cfg.index, v0=state.modes, tol=cfg.eig_tol, basis=basis)
     except EigensolveError as exc:
@@ -266,7 +273,7 @@ def step(p, state: SearchState, cfg: SearchConfig) -> SearchState:
             newton = _corrected_solver(solve, np.column_stack([u, modes.eigenvectors[:, 0]]),
                                        np.array([c, -(cfg.alpha + cfg.beta) * lam[0]]))
         solve = None  # only newton, when there is one, keeps the factor
-        precondition = newton if newton is not None else jacobi_solver(p, x)
+        precondition = newton if newton is not None else jacobi
     try:
         if cfg.on_sphere:
             sol = mf.solve_constrained_subproblem(L, x, cfg.subsolve)
@@ -417,7 +424,8 @@ def run(p, x0, cfg: SearchConfig) -> ConvergenceRecord:
       (``x``, ``modes``, ``last_step_inf``: all that ``step`` reads) equal
       bitwise to an earlier one, so the run would repeat until the budget
       ran out; the message names both outer iterations.
-    * ``diverged``: the point left the ball of radius ``divergence_radius``.
+    * ``diverged``: the point left the ball of radius ``divergence_radius``;
+      the message names the outer iteration and ``|x|``.
     * ``left_region``: a step left the region where the energy model is
       valid.
     * ``failed``: an eigensolve or inner solve failed, the anchor was convex
@@ -459,8 +467,11 @@ def run(p, x0, cfg: SearchConfig) -> ConvergenceRecord:
                     f"outer iteration {state.outer_iter}: non-finite gradient at the new point"
                 )
                 break
-            if np.linalg.norm(state.x) > cfg.divergence_radius:
+            radius = float(np.linalg.norm(state.x))
+            if radius > cfg.divergence_radius:
                 record.status = "diverged"
+                record.message = (f"outer iteration {state.outer_iter}: |x| = {radius:.6g} "
+                                  f"exceeds divergence_radius {cfg.divergence_radius:g}")
                 break
             if state.grad_norm <= cfg.grad_tol:
                 record.status = "converged"

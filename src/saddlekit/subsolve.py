@@ -297,23 +297,26 @@ def cholesky_solver(K):
     return solve
 
 
-def jacobi_solver(p, x):
-    """The map ``g -> g * (1 / max(D, floor))`` for the Hessian diagonal
-    ``D`` of the model ``p`` at ``x`` (``hessian_diag_fn``) and a floor of
-    5% of its median positive entry, or None when ``p`` has no diagonal or
-    ``D`` has no positive entry.
+def jacobi_solver(diag):
+    """The map ``g -> g * (1 / max(D, floor))`` for a Hessian diagonal
+    ``D`` and a floor of 5% of its median positive entry, on a vector
+    ``(n,)`` or a block ``(n, k)`` row by row, or None when ``D`` has no
+    positive entry.
 
-    The outer search preconditions a flat inner solve with it when it has
-    no factor (:func:`saddlekit.search.step`): the energy's diagonal is
-    near enough the reversed objective's curvature scale.
+    The outer search takes ``D`` from the Hessian a flat step assembles
+    (:func:`saddlekit.search.step`), and the map preconditions the
+    eigensolves and inner solves that take no factor: the energy's
+    diagonal is near enough both their curvature scales.
     """
-    if p.hessian_diag_fn is None:
-        return None
-    diag = np.asarray(p.hessian_diag_fn(x), dtype=float)
-    pos = diag[diag > 0]
+    diag = np.asarray(diag, dtype=float)
+    pos = np.sort(diag[diag > 0])
     if pos.size == 0:
         return None
-    return (1.0 / np.maximum(diag, 0.05 * float(np.median(pos)))).__mul__
+    # np.median's value, bitwise, without its first call's import of numpy.ma (~2 MB)
+    k = pos.size // 2
+    median = pos[k] if pos.size % 2 else 0.5 * (pos[k - 1] + pos[k])
+    inv = 1.0 / np.maximum(diag, 0.05 * float(median))
+    return lambda g: g * (inv if g.ndim == 1 else inv[:, None])
 
 
 def newton_stationary(p, x0, tol=1e-10, max_iters=200) -> NewtonResult:

@@ -167,11 +167,13 @@ def test_stationary_index_classification(three_hole):
 
 @pytest.mark.parametrize("amp", [0.0, 0.05])
 def test_morse_min_mode_from_assembled_hessian_matches_products(morse, morse_saddle, amp):
-    # at and near the stored saddle, at the benchmark's eigensolver tolerance
+    # at and near the stored saddle, at the benchmark's eigensolver
+    # tolerance, both preconditioned by the Jacobi map of the diagonal
     x = morse_saddle + amp * np.random.default_rng(31).standard_normal(morse_saddle.size)
     products_only = dataclasses.replace(morse, hessian_fn=None)
-    got = sk.min_modes(morse, x, m=1, tol=1e-9)
-    ref = sk.min_modes(products_only, x, m=1, tol=1e-9)
+    jacobi = subsolve.jacobi_solver(np.diagonal(morse.hessian_fn(x)))
+    got = sk.min_modes(morse, x, m=1, tol=1e-9, precondition=jacobi)
+    ref = sk.min_modes(products_only, x, m=1, tol=1e-9, precondition=jacobi)
     lam = ref.eigenvalues[0]
     assert abs(got.eigenvalues[0] - lam) <= 1e-10 * max(1.0, abs(lam))
     assert abs(got.eigenvectors[:, 0] @ ref.eigenvectors[:, 0]) >= 1.0 - 1e-10
@@ -179,9 +181,8 @@ def test_morse_min_mode_from_assembled_hessian_matches_products(morse, morse_sad
 
 
 def test_min_modes_reads_a_caller_assembled_hessian(morse, morse_saddle):
-    # the products of a matrix the caller assembled, and no preconditioner
-    # (so Jacobi): the same solve as assembling it here, and the matrix is
-    # left as it was
+    # the products of a matrix the caller assembled: the same solve as
+    # assembling it here, and the matrix is left as it was
     x = morse_saddle + 0.05 * np.random.default_rng(32).standard_normal(morse_saddle.size)
     H = morse.hessian_fn(x)
     kept = H.copy()
@@ -203,14 +204,15 @@ def test_factor_preconditioned_min_mode_matches_jacobi_and_dense(morse, morse_sa
     # K~ U + c u (u^T U) preconditioned by K~^{-1}
     x = morse_saddle + amp * np.random.default_rng(33).standard_normal(morse_saddle.size)
     tol = 1e-9
-    loose = sk.min_modes(morse, x, m=1, tol=0.3)
-    u, c = loose.eigenvectors[:, 0], 2.0 * min(loose.eigenvalues[0], 0.0)
     K = morse.hessian_fn(x)
+    precondition = subsolve.jacobi_solver(np.diagonal(K))
+    loose = sk.min_modes(morse, x, m=1, tol=0.3, precondition=precondition)
+    u, c = loose.eigenvectors[:, 0], 2.0 * min(loose.eigenvalues[0], 0.0)
     solve = search._anchor_hessian_solver(K, u, c)
     assert solve is not None
     got = sk.min_modes(morse, x, m=1, v0=loose.eigenvectors, tol=tol,
                        products=lambda U: K @ U + c * np.outer(u, u @ U), precondition=solve)
-    jacobi = sk.min_modes(morse, x, m=1, tol=tol)
+    jacobi = sk.min_modes(morse, x, m=1, tol=tol, precondition=precondition)
     dense = sk.dense_eigensolve(morse, x)
     lam, v = got.eigenvalues[0], got.eigenvectors[:, 0]
     for ref_lam, ref_v in ((jacobi.eigenvalues[0], jacobi.eigenvectors[:, 0]),

@@ -128,10 +128,15 @@ def test_run_experiment_measures_to_configured_reference(tmp_path, reference):
         assert r["errors"] == pytest.approx(expected, rel=1e-15)
 
 
-@pytest.mark.parametrize("reference", [[7.0], [0.0, -0.3, 0.0]], ids=["length1", "length3"])
-def test_run_experiment_refuses_a_reference_of_another_shape(tmp_path, reference):
-    with pytest.raises(sk.DimensionError, match=r"for points of shape \(2,\)"):
-        run_experiment(config_from_dict(_tiny_config(reference=reference)), tmp_path)
+@pytest.mark.parametrize("reference", [[7.0], [0.0, -0.3, 0.0], "Auto"],
+                         ids=["length1", "length3", "string"])
+def test_run_experiment_refuses_a_reference_of_another_shape(monkeypatch, tmp_path, reference):
+    # refused before any search runs or any output is written
+    monkeypatch.setattr(harness, "run_search", lambda *a: pytest.fail("search ran"))
+    error = ValueError if isinstance(reference, str) else sk.DimensionError
+    with pytest.raises(error, match=r"points? of shape \(2,\)"):
+        run_experiment(config_from_dict(_tiny_config(reference=reference)), tmp_path / "out")
+    assert not (tmp_path / "out").exists()
 
 
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -180,14 +185,22 @@ def test_run_experiment_newton(tmp_path):
     assert summary["runs"][0]["index"] == 1
 
 
+def _measured(errors):
+    """A 1-d record whose errors after the start are ``errors``."""
+    rec = sk.ConvergenceRecord()
+    for k, e in enumerate([1.0, *errors]):
+        rec.add(k, [e], None, 0.0, None, 0)
+    return rec.measure([0.0])
+
+
 def test_emit_table_roundtrip(tmp_path):
-    records = [("a", [1e-1, 1e-3, 1e-7]), ("b", [2e-1, 5e-4])]
+    records = [("a", _measured([1e-1, 1e-3, 1e-7])), ("b", _measured([2e-1, 5e-4]))]
     md = emit_table(records, tmp_path / "t.md", fmt="markdown")
-    text = open(md).read()
+    text = Path(md).read_text()
     assert "| iter | a | b |" in text
     assert "1.000e-01" in text
     emit_table(records, tmp_path / "t.csv", fmt="csv")
-    assert open(tmp_path / "t.csv").read().startswith("iter,a,b")
+    assert (tmp_path / "t.csv").read_text().startswith("iter,a,b")
     jpath = emit_table(records, tmp_path / "t.json", fmt="json")
     back = json.loads(Path(jpath).read_text())
     assert back == {"a": [1e-1, 1e-3, 1e-7], "b": [2e-1, 5e-4]}
@@ -198,7 +211,7 @@ def test_emit_table_roundtrip(tmp_path):
 
 def test_emit_table_empty(tmp_path):
     path = emit_table([], tmp_path / "empty.csv", fmt="csv")
-    assert open(path).read() == "iter\n"
+    assert Path(path).read_text() == "iter\n"
 
 
 def test_doa_single_cell_at_saddle(three_hole):

@@ -245,17 +245,6 @@ def test_morse_hessian_consistency(morse):
     assert sym <= 1e-10 * max(1.0, np.linalg.norm(hu) * np.linalg.norm(w))
 
 
-def test_morse_hessian_diag_matches_hessian_vec(morse):
-    rng = np.random.default_rng(19)
-    x = morse.extras["coords"][~morse.extras["frozen"]].ravel()
-    x = x + 0.03 * rng.standard_normal(x.size)
-    diag = morse.hessian_diag_fn(x)
-    for i in rng.choice(x.size, 8, replace=False):
-        e = np.zeros_like(x)
-        e[i] = 1.0
-        assert np.isclose(diag[i], morse.hessian_vec(x, e)[i], rtol=1e-10)
-
-
 def test_potential_is_an_inner_solver_objective(three_hole):
     x = np.array([0.3, -0.2])
     assert three_hole.value(x) == three_hole.energy(x)
@@ -295,7 +284,7 @@ def test_morse_energy_after_a_long_move_counts_every_pair(morse):
     u = np.random.default_rng(31).standard_normal(x.size)
     ufull = np.zeros_like(full)
     ufull[morse.extras["free_indices"]] = u.reshape(-1, 3)
-    grad, hu, diag = (np.zeros_like(full) for _ in range(3))
+    grad, hu = np.zeros_like(full), np.zeros_like(full)
     for i in range(len(full)):
         for j in range(i + 1, len(full)):
             d = full[i] - full[j]
@@ -310,11 +299,8 @@ def test_morse_energy_after_a_long_move_counts_every_pair(morse):
             grad[j] -= dphi * rhat
             hu[i] += K @ (ufull[i] - ufull[j])
             hu[j] -= K @ (ufull[i] - ufull[j])
-            diag[i] += K.diagonal()
-            diag[j] += K.diagonal()
     free = morse.extras["free_indices"]
-    for got, ref in ((morse.gradient(x), grad), (morse.hessian_vec(x, u), hu),
-                     (morse.hessian_diag_fn(x), diag)):
+    for got, ref in ((morse.gradient(x), grad), (morse.hessian_vec(x, u), hu)):
         ref = ref[free].ravel()
         assert np.abs(got - ref).max() <= 1e-9 * np.abs(ref).max()
 
@@ -349,8 +335,7 @@ def test_morse_remembered_geometry_matches_a_fresh_model(morse_saddle):
         return y - ((y - morse_saddle) @ v) * v
 
     calls = (lambda p, x: p.energy(x), lambda p, x: p.gradient(x),
-             lambda p, x: p.hessian_vec(x, u), lambda p, x: p.hessian_diag_fn(x),
-             lambda p, x: p.hessian_fn(x))
+             lambda p, x: p.hessian_vec(x, u), lambda p, x: p.hessian_fn(x))
 
     def check(x, first):
         # start with a different function at each point, so each one meets
@@ -395,7 +380,7 @@ def test_morse_remembered_geometry_matches_a_fresh_model(morse_saddle):
             # nor through a writable array it is a view of
             assert arr.base is None or not arr.base.flags.writeable
     model.gradient(y)[:] = 0.0
-    model.hessian_diag_fn(y)[:] = 0.0
+    model.hessian_fn(y)[:] = 0.0
     check(y, 1)
 
 

@@ -177,7 +177,9 @@ def test_divergence_status():
                                                   box_radius=1.0),
                           max_outer_iters=60, divergence_radius=10.0)
     rec = sk.run(p, np.array([0.3, 0.2]), cfg)
-    assert rec.status in ("diverged", "max_iters")
+    assert rec.status == "diverged" and rec.iterations < 60
+    assert rec.message == (f"outer iteration {rec.iterations}: |x| = "
+                           f"{np.linalg.norm(rec.x):.6g} exceeds divergence_radius 10")
 
 
 def _state_key(state):
@@ -351,7 +353,8 @@ def test_corrected_solver_is_the_anchor_hessian_inverse_on_the_island(morse, mor
     w = bench_workloads
     cfg = w.MORSE_CONFIG
     x = w.near(morse_saddle, np.random.default_rng(100))
-    modes, solve, u, c = search._factored_min_mode(morse, x, sk.initial_state(morse, x), cfg)
+    state = sk.initial_state(morse, x)
+    modes, _, solve, u, c = search._assembled_min_modes(morse, x, state, cfg, True)
     lam, v = modes.eigenvalues[0], modes.eigenvectors[:, 0]
     weight = (cfg.alpha + cfg.beta) * lam
     newton = search._corrected_solver(solve, np.column_stack([u, v]), np.array([c, -weight]))
@@ -385,8 +388,8 @@ def test_island_fixture_search_is_an_inexact_newton_iteration(monkeypatch, morse
     # the benchmark's morse_refine protocol: from this start Jacobi-
     # preconditioned inner solves took 162 + 109 + 71 iterations, against
     # 15 + 4 + 1 on the factor; Jacobi-preconditioned eigensolves took
-    # 81 + 69 + 50 LOBPCG iterations, against 13 (the first step's loose
-    # solve) + 14 + 14 + 11 on the same factor
+    # 81 + 69 + 50 LOBPCG iterations, against 14 (the first step's loose
+    # Jacobi solve) + 15 + 14 + 11 on the same factor
     iterations = record_lobpcg_iterations(monkeypatch)
     w = bench_workloads
     rec = sk.run(morse, w.near(morse_saddle, np.random.default_rng(100)), w.MORSE_CONFIG)
@@ -397,6 +400,27 @@ def test_island_fixture_search_is_an_inexact_newton_iteration(monkeypatch, morse
     assert w.max_atom_shift(rec.x, morse_saddle) <= 1e-12
 
 
+def test_island_reads_its_diagonal_from_the_assembled_hessian(morse, morse_saddle,
+                                                               bench_workloads):
+    # a model whose hessian_diag_fn fails when called relaxes, takes a
+    # table4 escape step and runs a fixture search to the same results
+    blind = dataclasses.replace(morse, hessian_diag_fn=lambda x: pytest.fail("diagonal read"))
+    xmin = harness._relaxed_minimum(blind)
+    np.testing.assert_array_equal(xmin, harness._relaxed_minimum(morse))
+    w = bench_workloads
+    x0 = xmin + 0.05 * np.random.default_rng(42).standard_normal(xmin.size)
+    got, ref = (search.step(q, sk.initial_state(q, x0, w.MORSE_CONFIG), w.MORSE_CONFIG)
+                for q in (blind, morse))
+    assert got.eigenvalues[0] > 0.0 and got.last_inner_iters > 100
+    np.testing.assert_array_equal(got.x, ref.x)
+    assert got.last_inner_iters == ref.last_inner_iters
+    x0 = w.near(morse_saddle, np.random.default_rng(100))
+    got, ref = (sk.run(q, x0, w.MORSE_CONFIG) for q in (blind, morse))
+    assert got.converged and got.iterations == 3
+    np.testing.assert_array_equal(got.x, ref.x)
+    assert [row[5] for row in got.rows] == [row[5] for row in ref.rows]
+
+
 @pytest.mark.slow
 def test_table4_escape_steps_keep_the_jacobi_preconditioner(table4_run):
     # the twelve box-limited escape steps run on Jacobi, the first eight to
@@ -404,7 +428,7 @@ def test_table4_escape_steps_keep_the_jacobi_preconditioner(table4_run):
     # convex_inner_cap of 200; only the two refining steps take the factor.
     # Their eigensolves do (K~ = H where the reference eigenvalue is
     # positive), unless H is indefinite: 1546 LOBPCG iterations on Jacobi,
-    # 246 so
+    # 239 so
     rec = table4_run.record
     inner = [row[5] for row in rec.rows[1:]]
     assert rec.converged and rec.iterations == 14 and rec.terminal_index == 1

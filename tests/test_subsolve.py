@@ -110,18 +110,23 @@ def test_flat_projector_holds_the_face_bound_coordinates():
     np.testing.assert_array_equal(boxed.projector(y, g)(g), [0.0, 0.0, 1.0])
 
 
-def test_jacobi_solver_scales_by_the_floored_hessian_diagonal(three_hole, morse, morse_saddle):
-    # no diagonal, or no positive entry in it: no map
-    assert jacobi_solver(three_hole, np.array([0.3, -0.2])) is None
-    flat = sk.PotentialModel("flat", 3, lambda x: 0.0, lambda x: np.zeros(3),
-                             hessian_diag_fn=lambda x: np.array([0.0, -1.0, 0.0]))
-    assert jacobi_solver(flat, np.zeros(3)) is None
-    # on the island, the diagonal floored at 5% of its median positive entry
+def test_jacobi_solver_scales_by_the_floored_hessian_diagonal(morse, morse_saddle):
+    # no positive entry in the diagonal: no map
+    assert jacobi_solver(np.array([0.0, -1.0, 0.0])) is None
+    # on the island, the assembled Hessian's diagonal floored at 5% of its
+    # median positive entry: bitwise on vectors, column by column on the
+    # (n, 3) blocks of the eigensolver's residuals
     x = morse_saddle
-    d = morse.hessian_diag_fn(x)
+    d = np.diagonal(morse.hessian_fn(x))
+    precondition = jacobi_solver(d)
     g = morse.gradient(x + 0.01)
-    np.testing.assert_array_equal(jacobi_solver(morse, x)(g),
-                                  g * (1.0 / np.maximum(d, 0.05 * np.median(d[d > 0]))))
+    scale = 1.0 / np.maximum(d, 0.05 * np.median(d[d > 0]))
+    np.testing.assert_array_equal(precondition(g), g * scale)
+    R = np.random.default_rng(6).standard_normal((3, d.size)).T
+    W = precondition(R)
+    assert W.shape == R.shape
+    for r, w in zip(R.T, W.T):
+        np.testing.assert_array_equal(w, precondition(r))
 
 
 def test_minimize_relaxes_a_potential_directly(three_hole):
