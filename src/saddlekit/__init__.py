@@ -26,7 +26,7 @@ from .potentials import (
     make_builtin,
     write_xyz,
 )
-from .eigen import MinModeResult, dense_eigensolve, dense_hessian, min_modes, stationary_index
+from .eigen import Hessian, MinModeResult, dense_eigensolve, min_modes, stationary_index
 from .objective import (
     ModifiedObjective,
     build_flat,

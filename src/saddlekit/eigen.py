@@ -1,20 +1,11 @@
-"""Smallest Hessian eigenpairs by blocked products, plus a dense verification oracle.
+"""One point's second derivatives, and its smallest eigenpairs by blocked products.
 
-The iterative solver is a blocked Rayleigh-quotient minimization with
-locally optimal conjugate directions (LOBPCG-style) that sees the Hessian
-only through block products ``H U``.  An optional tangent restriction
-solves the eigenproblem inside the span of an orthonormal basis, which
-keeps constrained eigenvectors exactly in the tangent space.  One routine
-supplies the products at a point, ``H U`` or ``B^T H B U``: from the
-model's assembled Hessian when it has one (``hessian_fn``), assembled once
-per point, and otherwise one Hessian-vector product per column.  The
-solver applies it to its blocks, and ``dense_hessian`` takes the matrix
-itself from it.  A caller may hand the solver its own products and
-preconditioner instead, or none.  The outer search does so on every flat
-step of a model with ``hessian_fn``: it assembles ``H`` once, and one
-Cholesky factor of a positive definite matrix near ``H``, or the Jacobi
-map of ``H``'s diagonal, preconditions the eigensolve
-(:func:`saddlekit.search.step`).
+A :class:`Hessian` gives a point's block products ``H U`` (``B^T H B U`` in
+a tangent basis B), its symmetric matrix and index, the Jacobi map of an
+assembled diagonal, and the outer search's flipped factor.  ``min_modes``
+is a blocked Rayleigh-quotient minimization with locally optimal conjugate
+directions (LOBPCG-style) that sees the Hessian only through those
+products; ``dense_eigensolve`` is its test oracle.
 """
 
 from dataclasses import dataclass
@@ -24,20 +15,24 @@ import numpy as np
 
 from .errors import EigensolveError
 
-# largest dimension whose Hessian is formed densely: the index of a
-# stationary point takes the whole matrix and its eigenvalues
+# largest dimension whose Hessian is given as a dense matrix, so classified
+# by its eigenvalues, or flipped and factored by the outer search
 INDEX_MAX_DIMENSION = 1000
 # min_modes: iteration budget, and the block vectors carried beyond the m
 # wanted ones for convergence speed on clustered spectra
 MAX_ITERS = 1000
 GUARD = 2
+# Hessian.flip's row block: bounds the rank-1 update's temporary
+_UPDATE_ROWS = 64
+# cholesky_solver's row block: its diagonal blocks are inverted once per factor
+_SOLVE_BLOCK = 64
 
 __all__ = [
     "INDEX_MAX_DIMENSION",
+    "Hessian",
     "MinModeResult",
     "Spectrum",
     "min_modes",
-    "dense_hessian",
     "dense_eigensolve",
     "stationary_index",
     "count_negative",
@@ -85,34 +80,19 @@ def _orthonormalize_with_image(M, HM, drop_tol=1e-12):
     return U[:, keep], HM @ T
 
 
-def min_modes(p, x, m=1, v0=None, tol=1e-10, basis=None, products=None,
-              precondition=None) -> MinModeResult:
-    """Compute the ``m`` smallest eigenpairs of the Hessian of ``p`` at ``x``.
+def min_modes(h, m=1, v0=None, tol=1e-10) -> MinModeResult:
+    """Compute the ``m`` smallest eigenpairs of the :class:`Hessian` ``h``.
 
-    A model with ``hessian_fn`` is assembled once per call and its blocks
-    are matrix products; otherwise every column costs one Hessian-vector
-    product.  The residuals that extend the search space are
-    preconditioned by ``precondition`` when the caller passes one, and
-    are used as they are otherwise.
+    The blocks are ``h``'s products, and the eigenvectors are returned in
+    ambient coordinates.  The residuals that extend the search space are
+    preconditioned by ``h.factor`` when it has one, otherwise by
+    ``h.jacobi`` when it has one, and are used as they are otherwise.
 
     Parameters
     ----------
     v0 : optional warm-start vector(s), shape (d,) or (d, m).
     tol : residual target; pair i is converged when
         ``||H v_i - lambda_i v_i|| <= tol * max(1, |lambda_i|)``.
-    basis : optional tangent restriction, a (d, k) matrix with orthonormal
-        columns.  Eigenpairs are computed for the Hessian restricted to the
-        basis span and returned in ambient coordinates.
-    products : optional map of a block ``U`` (d, k) to ``H U`` at ``x``,
-        used in place of assembling the Hessian here; the residuals reported
-        are those of these products.
-    precondition : optional map of a block of residuals ``R`` to
-        ``M^{-1} R`` for a symmetric positive definite ``M`` near ``H`` in
-        magnitude, such as :func:`saddlekit.subsolve.cholesky_solver` of
-        it or :func:`saddlekit.subsolve.jacobi_solver` of its diagonal.
-        The outer search passes the products of the matrix it assembles
-        and one of those two maps (:func:`saddlekit.search.step`).
-        Neither is combined with ``basis``.
 
     Raises
     ------
@@ -121,25 +101,13 @@ def min_modes(p, x, m=1, v0=None, tol=1e-10, basis=None, products=None,
         is missed, within ``MAX_ITERS`` iterations or because the search
         space is exhausted; then the best result so far rides on ``.result``.
     """
-    x = np.asarray(x, dtype=float)
-    d = p.dimension
     if tol <= 0:
         raise ValueError("tol must be positive")
-    if basis is None:
-        n = d
-    else:
-        basis = np.asarray(basis, dtype=float)
-        if basis.ndim != 2 or basis.shape[0] != d:
-            raise ValueError(f"basis must be a matrix with {d} rows, got shape {basis.shape}")
-        n = basis.shape[1]
-    if (products is not None or precondition is not None) and basis is not None:
-        raise ValueError("caller products and preconditioners are taken for ambient problems only")
-
-    if products is None:
-        products = _hessian_products(p, x, basis)
+    basis, n = h.basis, h.dimension
+    precondition = h.factor if h.factor is not None else h.jacobi
 
     def apply_h(U):
-        HU = products(U)
+        HU = h.products(U)
         if not np.all(np.isfinite(HU)):
             raise EigensolveError("non-finite Hessian-vector product")
         return HU
@@ -262,59 +230,188 @@ def _unit_vectors(n):
         e[i] = 0.0
 
 
-def _hessian_products(p, x, basis=None):
-    """The Hessian of ``p`` at ``x`` as a block product ``U -> H U``, or
-    ``U -> B^T H B U`` for an orthonormal ``basis`` B (d, k).
+class Hessian:
+    """The second derivatives of ``p`` at ``x``: ``H``, or ``B^T H B`` for
+    an orthonormal ``basis`` B (d, k).
 
-    Called without ``U``, the product returns the symmetric matrix itself.
-    A model with ``hessian_fn`` is assembled here, once, so every block
-    costs one matrix product.  Otherwise each column costs one
-    Hessian-vector product, and the matrix is the symmetrized product with
-    the identity.
+    A model with ``hessian_fn`` is assembled once, at the first request
+    (``products``, ``matrix``, ``jacobi`` or ``flip``); in a basis the
+    matrix is restricted and symmetrized.  Its blocks are then matrix
+    products, and ``jacobi`` is :func:`jacobi_solver` of its diagonal.
+    Without ``hessian_fn`` each product column is one Hessian-vector
+    product, ``matrix()`` is the symmetrized product with the identity, and
+    ``jacobi`` is None.  ``factor`` is set by :meth:`flip`.
     """
-    if p.hessian_fn is not None:
-        H = np.asarray(p.hessian_fn(x), dtype=float)
+
+    def __init__(self, p, x, basis=None):
+        d = p.dimension
         if basis is not None:
-            H = basis.T @ H @ basis
-            H = 0.5 * (H + H.T)
-        return lambda U=None: H if U is None else H @ U
+            basis = np.asarray(basis, dtype=float)
+            if basis.ndim != 2 or basis.shape[0] != d:
+                raise ValueError(f"basis must be a matrix with {d} rows, got shape {basis.shape}")
+        self.p, self.x, self.basis = p, np.asarray(x, dtype=float), basis
+        self.dimension = d if basis is None else basis.shape[1]
+        self.factor = None
+        self._H = self._jacobi = self._flip = None
 
-    n = p.dimension if basis is None else basis.shape[1]
+    def _assembled(self):
+        """The assembled matrix, assembling it on the first call; None
+        without ``hessian_fn``."""
+        if self._H is None and self.p.hessian_fn is not None:
+            H = np.asarray(self.p.hessian_fn(self.x), dtype=float)
+            if self.basis is not None:
+                H = self.basis.T @ H @ self.basis
+                H = 0.5 * (H + H.T)
+            self._H, self._jacobi = H, jacobi_solver(np.diagonal(H))
+        return self._H
 
-    def products(U=None):
-        HU = np.empty((n, n if U is None else U.shape[1]))
-        for i, u in enumerate(_unit_vectors(n) if U is None else U.T):
-            if basis is None:
-                HU[:, i] = p.hessian_vec(x, u)
+    @property
+    def jacobi(self):
+        self._assembled()
+        return self._jacobi
+
+    def _hvp_columns(self, vectors, k):
+        HU = np.empty((self.dimension, k))
+        for i, u in enumerate(vectors):
+            if self.basis is None:
+                HU[:, i] = self.p.hessian_vec(self.x, u)
             else:
-                HU[:, i] = basis.T @ p.hessian_vec(x, basis @ u)
-        return 0.5 * (HU + HU.T) if U is None else HU
+                HU[:, i] = self.basis.T @ self.p.hessian_vec(self.x, self.basis @ u)
+        return HU
 
-    return products
+    def products(self, U):
+        """``H U`` for a block ``U`` (n, k); after :meth:`flip`,
+        ``K~ U + c u (u^T U)``, which is ``H U`` to roundoff."""
+        H = self._assembled()
+        if H is None:
+            return self._hvp_columns(U.T, U.shape[1])
+        if self._flip is None:
+            return H @ U
+        u, c = self._flip
+        return H @ U + c * np.outer(u, u @ U)
+
+    def matrix(self) -> np.ndarray:
+        """The symmetric matrix, refused above ``INDEX_MAX_DIMENSION`` and
+        after :meth:`flip`.  An assembled matrix is the object's own."""
+        if self.p.dimension > INDEX_MAX_DIMENSION:
+            raise ValueError(f"dense Hessian capped at dimension {INDEX_MAX_DIMENSION}, "
+                             f"model has {self.p.dimension}")
+        if self._flip is not None:
+            raise ValueError("the matrix was overwritten by flip()")
+        H = self._assembled()
+        if H is None:
+            HU = self._hvp_columns(_unit_vectors(self.dimension), self.dimension)
+            H = 0.5 * (HU + HU.T)
+        return H
+
+    def index(self) -> int:
+        """Number of negative eigenvalues of ``matrix()``, by :func:`count_negative`."""
+        return count_negative(np.linalg.eigvalsh(self.matrix()))
+
+    def flip(self, u, c):
+        """Overwrite the assembled matrix with ``K~ = H - c u u^T`` and set
+        ``factor`` to ``g -> K~^{-1} g`` (:func:`cholesky_solver`), or None
+        when ``K~`` is not positive definite.
+
+        The outer search passes its reference mode ``u`` and ``c = (alpha +
+        beta) min(lambda_ref, 0)``.  ``K~`` is formed one row block at a
+        time, so the update allocates no second matrix; the products stay
+        those of ``H``, and the Jacobi map that of ``H``'s diagonal.
+        """
+        H = self._assembled()
+        if not H.flags.writeable:
+            H = self._H = H.copy()
+        for a in range(0, u.size, _UPDATE_ROWS):
+            H[a:a + _UPDATE_ROWS] -= (c * u[a:a + _UPDATE_ROWS])[:, None] * u
+        self._flip = (u, c)
+        try:
+            self.factor = cholesky_solver(H)
+        except np.linalg.LinAlgError:
+            self.factor = None
+
+    def inverse(self, v, weight):
+        """``g -> K^{-1} g`` for ``K = H - weight v v^T`` from ``factor``, or
+        None without a factor or when ``K`` is not positive definite.
+
+        ``K = K~ + W diag(d) W^T`` with ``W = [u, v]`` and ``d = [c,
+        -weight]``.  By Sherman-Morrison-Woodbury (Golub & Van Loan,
+        *Matrix Computations*, 2.1.4), with ``Z = K~^{-1} W`` and ``S = I +
+        diag(d) W^T Z``, ``K^{-1} g = K~^{-1} g - Z S^{-1} diag(d) Z^T g``,
+        which holds for a zero entry of ``d`` too: one block solve here and
+        one solve per call.  ``det K = det K~ det S``, and with at most one
+        negative entry in ``d`` ``K`` has at most one non-positive eigenvalue
+        (Haynsworth inertia additivity), so ``K`` is positive definite
+        exactly when ``det S > 0``.  The map keeps the factor, not the matrix.
+        """
+        solve = self.factor
+        if solve is None:
+            return None
+        u, c = self._flip
+        W, d = np.column_stack([u, v]), np.array([c, -weight])
+        Z = solve(W)
+        S = np.eye(d.size) + d[:, None] * (W.T @ Z)
+        if not np.linalg.det(S) > 0.0:
+            return None
+        T = np.linalg.solve(S, d[:, None] * Z.T)
+        return lambda g: solve(g) - Z @ (T @ g)
 
 
-def dense_hessian(p, x, basis=None) -> np.ndarray:
-    """The symmetric Hessian (``B^T H B`` for an orthonormal ``basis`` B):
-    the model's assembled matrix when it has ``hessian_fn``, else
-    symmetrized columns of Hessian-vector products.  Refused above
-    ``INDEX_MAX_DIMENSION``."""
-    x = np.asarray(x, dtype=float)
-    d = p.dimension
-    if d > INDEX_MAX_DIMENSION:
-        raise ValueError(f"dense Hessian capped at dimension {INDEX_MAX_DIMENSION}, model has {d}")
-    return _hessian_products(p, x, basis)()
+def cholesky_solver(K):
+    """The map ``g -> K^{-1} g`` for a symmetric positive definite ``K``,
+    on a vector ``(n,)`` or a block of right-hand sides ``(n, k)``.
+
+    ``K`` is factored once, ``K = C C^T`` (``np.linalg.cholesky``, which
+    raises ``LinAlgError`` when ``K`` is not positive definite); each call
+    is a forward and a back substitution by row blocks of ``_SOLVE_BLOCK``,
+    with the inverses of the factor's diagonal blocks formed here (numpy
+    has no triangular solve).  Only the factor is kept, so ``K`` may be
+    dropped.
+    """
+    C = np.linalg.cholesky(K)
+    n = C.shape[0]
+    edges = list(range(0, n, _SOLVE_BLOCK)) + [n]
+    spans = list(zip(edges[:-1], edges[1:]))
+    inv = [np.linalg.inv(C[a:b, a:b]) for a, b in spans]
+
+    def solve(g):
+        y = np.empty(g.shape)
+        for (a, b), D in zip(spans, inv):  # C y = g
+            y[a:b] = D @ (g[a:b] - C[a:b, :a] @ y[:a])
+        z = np.empty(g.shape)
+        for (a, b), D in zip(reversed(spans), reversed(inv)):  # C^T z = y
+            z[a:b] = D.T @ (y[a:b] - C[b:, a:b].T @ z[b:])
+        return z
+
+    return solve
+
+
+def jacobi_solver(diag):
+    """The map ``g -> g * (1 / max(D, floor))`` for a Hessian diagonal
+    ``D`` and a floor of 5% of its median positive entry, on a vector
+    ``(n,)`` or a block ``(n, k)`` row by row, or None when ``D`` has no
+    positive entry.
+    """
+    diag = np.asarray(diag, dtype=float)
+    pos = np.sort(diag[diag > 0])
+    if pos.size == 0:
+        return None
+    # np.median's value, bitwise, without its first call's import of numpy.ma (~2 MB)
+    k = pos.size // 2
+    median = pos[k] if pos.size % 2 else 0.5 * (pos[k - 1] + pos[k])
+    inv = 1.0 / np.maximum(diag, 0.05 * float(median))
+    return lambda g: g * (inv if g.ndim == 1 else inv[:, None])
 
 
 def dense_eigensolve(p, x) -> Spectrum:
-    """Full ascending spectrum of ``dense_hessian`` by a dense symmetric
-    eigendecomposition: the test oracle for ``min_modes``."""
-    evals, evecs = np.linalg.eigh(dense_hessian(p, x))
+    """Full ascending spectrum of ``Hessian(p, x).matrix()`` by a dense
+    symmetric eigendecomposition: the test oracle for ``min_modes``."""
+    evals, evecs = np.linalg.eigh(Hessian(p, x).matrix())
     return Spectrum(evals, evecs)
 
 
 def stationary_index(p, x) -> int:
     """Number of negative Hessian eigenvalues at ``x`` (0 = minimum)."""
-    return count_negative(np.linalg.eigvalsh(dense_hessian(p, x)))
+    return Hessian(p, x).index()
 
 
 def count_negative(evals) -> int:

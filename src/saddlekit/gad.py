@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .eigen import min_modes
+from .eigen import Hessian, min_modes
 from . import manifold as mf
 
 __all__ = ["GADState", "GADTrajectory", "euler_step", "run"]
@@ -64,7 +64,7 @@ def _flow(p, s: GADState, on_sphere):
 def _advance(p, s: GADState, dt, reversal, exact_mode, on_sphere, g, v, Hv) -> GADState:
     """The Euler update from the quantities ``_flow`` returns at ``s.x``."""
     if exact_mode:
-        v = min_modes(p, s.x, m=1, v0=s.v, tol=1e-13).eigenvectors[:, 0]
+        v = min_modes(Hessian(p, s.x), v0=s.v, tol=1e-13).eigenvectors[:, 0]
     vv = float(v @ v)
     step = dt * (-g + reversal * (float(g @ v) / vv) * v)
     x_new = mf.retract(s.x, step) if on_sphere else s.x + step

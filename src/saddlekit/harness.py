@@ -18,9 +18,9 @@ import yaml
 
 from . import gad as gad_mod
 from . import manifold as mf
-# unused here since run() classifies terminal points; the benchmark's
-# traced run rebinds this name, so it stays importable
-from .eigen import stationary_index  # noqa: F401
+# stationary_index is unused here since run() classifies terminal points;
+# the benchmark's traced run rebinds this name, so it stays importable
+from .eigen import Hessian, stationary_index  # noqa: F401
 from .errors import DimensionError, OrderEstimateError
 from .objective import COEFFICIENT_PRESETS, build_flat
 from .potentials import make_builtin, morse_full_coordinates, write_xyz
@@ -30,7 +30,7 @@ from .search import (
     estimate_order_pooled,
     run as run_search,
 )
-from .subsolve import SubsolveConfig, jacobi_solver, minimize, newton_stationary
+from .subsolve import SubsolveConfig, minimize, newton_stationary
 
 __all__ = [
     "ExperimentConfig",
@@ -200,9 +200,8 @@ def _relaxed_minimum(p):
     if "coords" not in p.extras:
         raise ValueError(f"{p.name} has no built-in geometry to relax")
     x0 = p.extras["coords"][~p.extras["frozen"]].ravel().copy()
-    # hessian_fn, not dense_hessian, which refuses islands above INDEX_MAX_DIMENSION
     return minimize(p, x0, SubsolveConfig(grad_tol=1e-11, max_inner_iters=6000),
-                    precondition=jacobi_solver(np.diagonal(p.hessian_fn(x0)))).y
+                    precondition=Hessian(p, x0).jacobi).y
 
 
 def _auto_reference(p, record: ConvergenceRecord, on_sphere=False):

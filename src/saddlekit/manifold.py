@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .eigen import count_negative, dense_hessian
+from .eigen import Hessian, count_negative
 from .errors import OffManifoldError, SubsolveError
 from .subsolve import InnerSolve, SubsolveConfig, descend
 
@@ -135,6 +135,6 @@ def constrained_index(p, x) -> int:
     subtracted from the energy Hessian restricted to the tangent space.
     """
     x = np.asarray(x, dtype=float)
-    Hk = dense_hessian(p, x, basis=tangent_projector(x).basis)
-    Hk -= float(x @ p.gradient(x)) * np.eye(Hk.shape[0])
+    Hk = Hessian(p, x, tangent_projector(x).basis).matrix()
+    Hk = Hk - float(x @ p.gradient(x)) * np.eye(Hk.shape[0])
     return count_negative(np.linalg.eigvalsh(Hk))

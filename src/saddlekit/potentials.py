@@ -20,6 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .eigen import count_negative
 from .errors import DimensionError
 
 __all__ = [
@@ -53,10 +54,10 @@ class PotentialModel:
     # read by no library module (the Jacobi map takes the assembled
     # Hessian's diagonal); kept only because the benchmark's trace wraps it
     hessian_diag_fn: callable = None
-    # optional assembled Hessian, x -> (d, d) symmetric array; when set, the
-    # eigensolver and the index check take products from it (see eigen); the
-    # outer search overwrites a writeable result with the anchor Hessian it
-    # factors (see search.step), so each call returns a new array
+    # optional assembled Hessian, x -> (d, d) symmetric array; when set,
+    # eigen.Hessian takes products, matrix and Jacobi map from it, and may
+    # overwrite a writeable result in place (Hessian.flip), so each call
+    # returns a new array
     hessian_fn: callable = None
     stationary_points: tuple = ()
     extras: dict = field(default_factory=dict)
@@ -253,7 +254,7 @@ def from_quadratic(matrix, name="quadratic") -> PotentialModel:
     if not np.allclose(H, H.T, atol=1e-12):
         raise ValueError("quadratic matrix must be symmetric")
     d = H.shape[0]
-    index = int(np.sum(np.linalg.eigvalsh(H) < 0.0))
+    index = count_negative(np.linalg.eigvalsh(H))
     return PotentialModel(
         name=name,
         dimension=d,

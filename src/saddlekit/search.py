@@ -13,7 +13,7 @@ import numpy as np
 
 from . import manifold as mf
 from . import objective as obj
-from .eigen import INDEX_MAX_DIMENSION, min_modes, stationary_index
+from .eigen import INDEX_MAX_DIMENSION, Hessian, min_modes, stationary_index
 from .errors import (
     ConvexRegionError,
     DimensionError,
@@ -22,10 +22,8 @@ from .errors import (
     OrderEstimateError,
     SubsolveError,
 )
-from .subsolve import SubsolveConfig, cholesky_solver, jacobi_solver, minimize
+from .subsolve import SubsolveConfig, minimize
 
-# rows of the anchor Hessian updated at a time: bounds the update's temporary
-_UPDATE_ROWS = 64
 # residual target of the Jacobi eigensolve that gives a search's first
 # factored step its reference mode (and the full eigensolve its warm start)
 _REFERENCE_TOL = 0.3
@@ -128,110 +126,40 @@ def initial_state(p, x0, cfg: SearchConfig = None) -> SearchState:
     return SearchState(x=x0, grad_norm=_grad_norm(p, x0, cfg is not None and cfg.on_sphere))
 
 
-def _anchor_hessian_solver(H, v, weight):
-    """``g -> K^{-1} g`` for ``K = H - weight v v^T``, or None when ``K`` is
-    not positive definite.
-
-    :func:`step` calls it with its reference mode ``u`` and
-    ``weight = (alpha + beta) min(lambda_ref, 0)``, so ``K`` is the flipped
-    Hessian ``K~`` whose factor preconditions the eigensolve, and, through
-    :func:`_corrected_solver`, the inner solve.  ``H`` is overwritten with
-    ``K`` one row block at a time, so the update allocates no second
-    matrix; only the Cholesky factor needs to outlive the call.
-    """
-    for a in range(0, v.size, _UPDATE_ROWS):
-        H[a:a + _UPDATE_ROWS] -= (weight * v[a:a + _UPDATE_ROWS])[:, None] * v
-    try:
-        return cholesky_solver(H)
-    except np.linalg.LinAlgError:
-        return None
-
-
-def _corrected_solver(solve, W, d):
-    """``g -> K^{-1} g`` for ``K = K~ + W diag(d) W^T`` from ``solve``, the
-    map ``g -> K~^{-1} g`` of a symmetric positive definite ``K~``, or None
-    when ``K`` is not positive definite.
-
-    By Sherman-Morrison-Woodbury (Golub & Van Loan, *Matrix Computations*,
-    2.1.4), with ``Z = K~^{-1} W`` and ``S = I + diag(d) W^T Z``,
-    ``K^{-1} g = K~^{-1} g - Z S^{-1} diag(d) Z^T g``, which holds for a
-    zero entry of ``d`` too: one block solve here and one solve per call.
-    ``det K = det K~ det S``, and with at most one negative entry in ``d``
-    ``K`` has at most one non-positive eigenvalue (Haynsworth inertia
-    additivity), so ``K`` is positive definite exactly when ``det S > 0``.
-    """
-    Z = solve(W)
-    S = np.eye(d.size) + d[:, None] * (W.T @ Z)
-    if not np.linalg.det(S) > 0.0:
-        return None
-    T = np.linalg.solve(S, d[:, None] * Z.T)
-    return lambda g: solve(g) - Z @ (T @ g)
-
-
-def _assembled_min_modes(p, x, state, cfg, index1):
-    """The min-modes of a flat step read from one assembly of ``H`` (see
-    :func:`step`): ``(modes, jacobi, solve, u, c)``, with ``jacobi`` the map
-    of ``H``'s diagonal; ``solve`` (the map ``g -> K~^{-1} g``, None when
-    ``K~`` is not positive definite), ``u`` and ``c`` are None unless ``index1``."""
-    H = np.asarray(p.hessian_fn(x), dtype=float)
-    jacobi = jacobi_solver(np.diagonal(H))
-    if not index1:
-        return min_modes(p, x, m=cfg.index, v0=state.modes, tol=cfg.eig_tol,
-                         products=H.__matmul__, precondition=jacobi), jacobi, None, None, None
-    if not H.flags.writeable:
-        H = H.copy()
-    v0 = state.modes
-    if v0 is None:
-        ref = min_modes(p, x, tol=_REFERENCE_TOL, products=H.__matmul__, precondition=jacobi)
-        v0, lam_ref = ref.eigenvectors, ref.eigenvalues[0]
-    else:
-        lam_ref = state.eigenvalues[0]
-    u = v0[:, 0]
-    c = (cfg.alpha + cfg.beta) * min(float(lam_ref), 0.0)
-    solve = _anchor_hessian_solver(H, u, c)
-    modes = min_modes(p, x, v0=v0, tol=cfg.eig_tol,
-                      products=lambda U: H @ U + c * np.outer(u, u @ U),
-                      precondition=jacobi if solve is None else solve)
-    return modes, jacobi, solve, u, c
-
-
 def step(p, state: SearchState, cfg: SearchConfig) -> SearchState:
     """One outer iteration from ``state.x``; returns the updated state.
 
-    A flat step on a model with an assembled Hessian (``hessian_fn``,
-    dimension at most ``INDEX_MAX_DIMENSION``) assembles it once and takes
-    the step's one Jacobi map from its diagonal
-    (:func:`saddlekit.subsolve.jacobi_solver`); an index-m eigensolve reads
-    ``H`` under that map.  An index-1 step factors ``H`` before the
-    eigensolve.  From a reference mode ``u`` with eigenvalue ``lambda_ref``
-    (the previous step's, or on a search's first step those of a loose
-    Jacobi eigensolve, which then warm-starts the full one) it forms
-    ``K~ = H - c u u^T`` in place, ``c = (alpha + beta) min(lambda_ref,
-    0)``, and takes one Cholesky factor of it:
-
-    * the eigensolve reads the products ``K~ U + c u (u^T U) = H U``,
-      preconditioned by ``K~^{-1}`` (Knyazev 2001, *SIAM J. Sci. Comput.*
-      23:517), or by the Jacobi map when ``K~`` is not positive
-      definite; ``K~`` is dropped once the eigensolve returns;
-    * when the step is not escaping (see below), the inner solve is
-      preconditioned by ``K^{-1}`` for the reversed objective's anchor
-      Hessian ``K = H - (alpha + beta) lambda_1 v v^T`` of the current mode
-      ``v``, a rank-2 correction of the same factor
-      (:func:`_corrected_solver`): an inexact Newton iteration (Nocedal &
-      Wright, *Numerical Optimization*, ch. 5 and 7).
-
-    Every other flat inner solve takes the Jacobi map, which a model
-    without ``hessian_fn`` does not have: its steps are unpreconditioned.
+    The step's one :class:`~saddlekit.eigen.Hessian` (in the tangent basis
+    on the sphere) feeds its eigensolve and its inner solve.  A flat index-1
+    step on a model with ``hessian_fn`` (dimension at most
+    ``INDEX_MAX_DIMENSION``) flips it before the eigensolve: from a
+    reference mode ``u`` with eigenvalue ``lambda_ref`` (the previous
+    step's, or on a search's first step those of a loose eigensolve, which
+    then warm-starts the full one) it forms ``K~ = H - c u u^T`` in place,
+    ``c = (alpha + beta) min(lambda_ref, 0)``, and factors it
+    (:meth:`~saddlekit.eigen.Hessian.flip`).  The eigensolve is then
+    preconditioned by ``K~^{-1}`` (Knyazev 2001, *SIAM J. Sci. Comput.*
+    23:517), and the inner solve of a step that is not escaping (see below)
+    by ``K^{-1}`` for the reversed objective's anchor Hessian ``K = H -
+    (alpha + beta) lambda_1 v v^T`` of the current mode ``v``
+    (:meth:`~saddlekit.eigen.Hessian.inverse`): an inexact Newton iteration
+    (Nocedal & Wright, *Numerical Optimization*, ch. 5 and 7).  Every other
+    solve takes the Hessian's Jacobi map, which a model without
+    ``hessian_fn`` does not have.  Only the inner solve's map outlives the
+    eigensolve, not the matrix.
     """
     x = state.x
     basis = mf.tangent_projector(x).basis if cfg.on_sphere else None
     flat_index1 = not cfg.on_sphere and cfg.index == 1 and not cfg._subsets
-    solve = jacobi = None
+    h = Hessian(p, x, basis)
+    v0, lam0 = state.modes, state.eigenvalues
     try:
-        if not cfg.on_sphere and p.hessian_fn is not None and p.dimension <= INDEX_MAX_DIMENSION:
-            modes, jacobi, solve, u, c = _assembled_min_modes(p, x, state, cfg, flat_index1)
-        else:
-            modes = min_modes(p, x, m=cfg.index, v0=state.modes, tol=cfg.eig_tol, basis=basis)
+        if flat_index1 and p.hessian_fn is not None and p.dimension <= INDEX_MAX_DIMENSION:
+            if v0 is None:
+                ref = min_modes(h, tol=_REFERENCE_TOL)
+                v0, lam0 = ref.eigenvectors, ref.eigenvalues
+            h.flip(v0[:, 0], (cfg.alpha + cfg.beta) * min(float(lam0[0]), 0.0))
+        modes = min_modes(h, m=cfg.index, v0=v0, tol=cfg.eig_tol)
     except EigensolveError as exc:
         raise EigensolveError(
             f"outer iteration {state.outer_iter + 1}: {exc}", result=exc.result
@@ -268,12 +196,10 @@ def step(p, state: SearchState, cfg: SearchConfig) -> SearchState:
             sub = replace(sub, max_inner_iters=cfg.convex_inner_cap)
         # the factor would steer a box-limited escape step into the box's
         # faces, so escaping steps keep the Jacobi preconditioner
-        newton = None
-        if solve is not None and not escaping:
-            newton = _corrected_solver(solve, np.column_stack([u, modes.eigenvectors[:, 0]]),
-                                       np.array([c, -(cfg.alpha + cfg.beta) * lam[0]]))
-        solve = None  # only newton, when there is one, keeps the factor
-        precondition = newton if newton is not None else jacobi
+        newton = None if escaping else h.inverse(modes.eigenvectors[:, 0],
+                                                 (cfg.alpha + cfg.beta) * lam[0])
+        precondition = newton if newton is not None else h.jacobi
+    h = None  # drop the matrix: the inner solve's map holds only the factor or the diagonal
     try:
         if cfg.on_sphere:
             sol = mf.solve_constrained_subproblem(L, x, cfg.subsolve)

@@ -6,8 +6,9 @@ safeguarded by Armijo backtracking.  A geometry object holds the rules that
 differ between flat space and the unit sphere
 (:class:`saddlekit.manifold.ManifoldGeometry`).
 ``minimize`` runs the loop under :class:`FlatGeometry`, preconditioned
-only by the map its caller passes (the outer search passes a corrected
-:func:`cholesky_solver` factor or :func:`jacobi_solver`).  Its optional
+only by the map its caller passes (the outer search passes the inverse of
+the anchor Hessian or a Jacobi map, both from
+:class:`saddlekit.eigen.Hessian`).  Its optional
 infinity-norm trust box around the starting point keeps the solve stable
 when the objective is unbounded below (anchor in a convex region of the
 energy); accepted points are clipped into the box coordinate-wise.  A
@@ -24,7 +25,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .eigen import dense_hessian, stationary_index
+from .eigen import Hessian
 from .errors import EigensolveError, SubsolveError
 
 __all__ = [
@@ -32,8 +33,6 @@ __all__ = [
     "InnerSolve",
     "NewtonResult",
     "minimize",
-    "cholesky_solver",
-    "jacobi_solver",
     "sd_single_step",
     "newton_stationary",
 ]
@@ -45,8 +44,6 @@ _MAX_HALVINGS = 60
 _FIRST_STEP = 0.1
 # Newton's longest accepted step: a longer one ends the run as a failure
 _NEWTON_STEP_LIMIT = 10.0
-# cholesky_solver's row block: its diagonal blocks are inverted once per factor
-_SOLVE_BLOCK = 64
 
 
 @dataclass(frozen=True)
@@ -256,67 +253,12 @@ def minimize(L, y0, cfg: SubsolveConfig, precondition=None) -> InnerSolve:
     ``L`` has ``value``, ``gradient`` and ``hessian_vec``; a
     :class:`~saddlekit.potentials.PotentialModel` qualifies.  The solve is
     preconditioned by ``precondition``, a map ``g -> M^{-1} g`` for a
-    symmetric positive definite ``M`` near the Hessian of ``L`` (such as
-    :func:`cholesky_solver` or :func:`jacobi_solver`), when given, and is
-    unpreconditioned otherwise.  See :func:`descend` for the result and the
-    errors.
+    symmetric positive definite ``M`` near the Hessian of ``L``, when given,
+    and is unpreconditioned otherwise.  See :func:`descend` for the result
+    and the errors.
     """
     y0 = np.asarray(y0, dtype=float)
     return descend(L, y0, cfg, FlatGeometry(y0, cfg, precondition))
-
-
-def cholesky_solver(K):
-    """The map ``g -> K^{-1} g`` for a symmetric positive definite ``K``,
-    on a vector ``(n,)`` or a block of right-hand sides ``(n, k)``.
-
-    ``K`` is factored once, ``K = C C^T`` (``np.linalg.cholesky``, which
-    raises ``LinAlgError`` when ``K`` is not positive definite); each call
-    is a forward and a back substitution by row blocks of ``_SOLVE_BLOCK``,
-    with the inverses of the factor's diagonal blocks formed here (numpy
-    has no triangular solve).  Only the factor is kept, so ``K`` may be
-    dropped.  The outer search applies one such factor twice per refining
-    step: as the eigensolver's preconditioner on blocks, and, corrected to
-    the step's anchor Hessian, as the inner solve's on vectors
-    (:func:`saddlekit.search.step`).
-    """
-    C = np.linalg.cholesky(K)
-    n = C.shape[0]
-    edges = list(range(0, n, _SOLVE_BLOCK)) + [n]
-    spans = list(zip(edges[:-1], edges[1:]))
-    inv = [np.linalg.inv(C[a:b, a:b]) for a, b in spans]
-
-    def solve(g):
-        y = np.empty(g.shape)
-        for (a, b), D in zip(spans, inv):  # C y = g
-            y[a:b] = D @ (g[a:b] - C[a:b, :a] @ y[:a])
-        z = np.empty(g.shape)
-        for (a, b), D in zip(reversed(spans), reversed(inv)):  # C^T z = y
-            z[a:b] = D.T @ (y[a:b] - C[b:, a:b].T @ z[b:])
-        return z
-
-    return solve
-
-
-def jacobi_solver(diag):
-    """The map ``g -> g * (1 / max(D, floor))`` for a Hessian diagonal
-    ``D`` and a floor of 5% of its median positive entry, on a vector
-    ``(n,)`` or a block ``(n, k)`` row by row, or None when ``D`` has no
-    positive entry.
-
-    The outer search takes ``D`` from the Hessian a flat step assembles
-    (:func:`saddlekit.search.step`), and the map preconditions the
-    eigensolves and inner solves that take no factor: the energy's
-    diagonal is near enough both their curvature scales.
-    """
-    diag = np.asarray(diag, dtype=float)
-    pos = np.sort(diag[diag > 0])
-    if pos.size == 0:
-        return None
-    # np.median's value, bitwise, without its first call's import of numpy.ma (~2 MB)
-    k = pos.size // 2
-    median = pos[k] if pos.size % 2 else 0.5 * (pos[k - 1] + pos[k])
-    inv = 1.0 / np.maximum(diag, 0.05 * float(median))
-    return lambda g: g * (inv if g.ndim == 1 else inv[:, None])
 
 
 def newton_stationary(p, x0, tol=1e-10, max_iters=200) -> NewtonResult:
@@ -324,20 +266,20 @@ def newton_stationary(p, x0, tol=1e-10, max_iters=200) -> NewtonResult:
 
     Baseline root finder: converges to stationary points of any index, or
     fails on singular Hessians, oversized steps, or iteration exhaustion.
-    The terminal point is classified by its dense Hessian index; a
-    non-finite Hessian there fails the run.
+    Each iterate's :class:`~saddlekit.eigen.Hessian` gives its step, and at
+    the converged point its index; a non-finite Hessian there fails the run.
     """
     x = np.asarray(x0, dtype=float).copy()
     for it in range(max_iters):
         g = p.gradient(x)
+        h = Hessian(p, x)
         if float(np.linalg.norm(g, ord=np.inf)) <= tol:
             try:
-                return NewtonResult(x, stationary_index(p, x), True, it, "converged")
+                return NewtonResult(x, h.index(), True, it, "converged")
             except EigensolveError as exc:
                 return NewtonResult(x, None, False, it, f"converged point: {exc}")
-        H = dense_hessian(p, x)
         try:
-            step = np.linalg.solve(H, -g)
+            step = np.linalg.solve(h.matrix(), -g)
         except np.linalg.LinAlgError:
             return NewtonResult(x, None, False, it, "singular Hessian")
         if not np.all(np.isfinite(step)) or np.linalg.norm(step) > _NEWTON_STEP_LIMIT:

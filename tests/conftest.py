@@ -1,15 +1,22 @@
 import importlib.util
 import json
+import os
 import sys
 import time
 from pathlib import Path
 from typing import NamedTuple
 
+# one BLAS thread, set before numpy loads, so that every run of the suite
+# follows one trajectory: table4's escape steps amplify roundoff that
+# depends on the thread count into the inner-iteration counts a test pins
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ[_var] = "1"
+
 import numpy as np
 import pytest
 
 import saddlekit as sk
-from saddlekit import harness, search
+from saddlekit import eigen, harness, search
 from saddlekit.harness import _fd_gradient as fd_gradient  # noqa: F401  (imported by the test modules)
 
 
@@ -53,20 +60,20 @@ def bench_workloads():
 
 def record_factor_flags(monkeypatch):
     """Make ``step``'s inner solves record whether each was preconditioned
-    by the corrected factor, the map :func:`search._corrected_solver`
+    by the corrected factor, the map :meth:`eigen.Hessian.inverse`
     returned for that step, rather than by Jacobi or by nothing."""
     had_factor, corrected = [], [None]
-    real_minimize, real_corrected = search.minimize, search._corrected_solver
+    real_minimize, real_inverse = search.minimize, eigen.Hessian.inverse
 
     def correcting(*args):
-        corrected[0] = real_corrected(*args)
+        corrected[0] = real_inverse(*args)
         return corrected[0]
 
     def recording(L, y0, cfg, precondition=None):
         had_factor.append(precondition is not None and precondition is corrected[0])
         return real_minimize(L, y0, cfg, precondition)
 
-    monkeypatch.setattr(search, "_corrected_solver", correcting)
+    monkeypatch.setattr(eigen.Hessian, "inverse", correcting)
     monkeypatch.setattr(search, "minimize", recording)
     return had_factor
 

@@ -138,7 +138,7 @@ def test_criterion_06_vanishing_jacobian():
 
 def test_criterion_07_objective_hessian_spectrum():
     lam = sk.dense_eigensolve(THREE_HOLE, SP_BOTTOM).eigenvalues
-    mode = sk.min_modes(THREE_HOLE, SP_BOTTOM, m=1, tol=1e-13).eigenvectors[:, 0]
+    mode = sk.min_modes(sk.Hessian(THREE_HOLE, SP_BOTTOM), m=1, tol=1e-13).eigenvectors[:, 0]
     worst = 0.0
     for a, b in ((2.0, 0.0), (0.0, 2.0), (1.0, 1.0)):
         L = sk.build_flat(THREE_HOLE, SP_BOTTOM, mode, a, b)
@@ -176,7 +176,7 @@ def test_criterion_08_flow_equivalence_and_rates():
     dev = 0.0
     for _ in range(100):
         s = gad.euler_step(THREE_HOLE, s, dt, reversal=2.0, exact_mode=True)
-        modes = sk.min_modes(THREE_HOLE, y, m=1, tol=1e-13)
+        modes = sk.min_modes(sk.Hessian(THREE_HOLE, y), m=1, tol=1e-13)
         L = sk.build_flat(THREE_HOLE, y, modes.eigenvectors[:, 0], 2.0, 0.0)
         y = sd_single_step(L, y, dt)
         dev = max(dev, float(np.linalg.norm(s.x - y)))

@@ -46,7 +46,7 @@ def test_double_well_converges_to_saddle():
 def test_stays_at_minimum_with_exact_mode():
     p = sk.make_builtin("double_well")
     x_min = np.array([1.0, 0.0])
-    modes = sk.min_modes(p, x_min, m=1, tol=1e-12)
+    modes = sk.min_modes(sk.Hessian(p, x_min), m=1, tol=1e-12)
     s = gad.GADState(x=x_min, v=modes.eigenvectors[:, 0])
     for _ in range(100):
         s = gad.euler_step(p, s, dt=0.01)
@@ -63,7 +63,7 @@ def test_frozen_mode_step_matches_single_descent_step(three_hole):
     y = x.copy()
     for _ in range(100):
         s = gad.euler_step(three_hole, s, dt, reversal=2.0, exact_mode=True)
-        modes = sk.min_modes(three_hole, y, m=1, tol=1e-13)
+        modes = sk.min_modes(sk.Hessian(three_hole, y), m=1, tol=1e-13)
         L = sk.build_flat(three_hole, y, modes.eigenvectors[:, 0], 2.0, 0.0)
         y = sd_single_step(L, y, dt)
         dev = max(dev, float(np.linalg.norm(s.x - y)))

@@ -83,7 +83,7 @@ def test_geodesic_project_degenerate_tie():
 def test_constrained_solve_fixed_point(sphere_quad):
     sp = np.array([0.0, 1.0, 0.0])
     basis = tangent_projector(sp).basis
-    modes = sk.min_modes(sphere_quad, sp, m=1, tol=1e-13, basis=basis)
+    modes = sk.min_modes(sk.Hessian(sphere_quad, sp, basis), m=1, tol=1e-13)
     L = sk.build_manifold(sphere_quad, sp, modes.eigenvectors[:, 0], *COEFFICIENT_PRESETS["ray"])
     sol = solve_constrained_subproblem(L, sp, SubsolveConfig(grad_tol=1e-13, max_inner_iters=100))
     assert np.linalg.norm(sol.y - sp) < 1e-12
@@ -94,7 +94,7 @@ def test_constrained_solve_feasibility_and_tolerance(sphere_quad):
     x = rng.standard_normal(3)
     x /= np.linalg.norm(x)
     basis = tangent_projector(x).basis
-    modes = sk.min_modes(sphere_quad, x, m=1, tol=1e-12, basis=basis)
+    modes = sk.min_modes(sk.Hessian(sphere_quad, x, basis), m=1, tol=1e-12)
     L = sk.build_manifold(sphere_quad, x, modes.eigenvectors[:, 0], *COEFFICIENT_PRESETS["mix"])
     sol = solve_constrained_subproblem(L, x, SubsolveConfig(grad_tol=1e-12, max_inner_iters=400))
     assert abs(np.linalg.norm(sol.y) - 1.0) < 1e-12

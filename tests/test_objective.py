@@ -132,7 +132,7 @@ def test_hessian_vec_matches_fd_of_gradient(three_hole):
 def test_anchor_hessian_spectrum(three_hole):
     sp = three_hole.stationary_points[0][0]
     lam = sk.dense_eigensolve(three_hole, sp).eigenvalues
-    modes = sk.min_modes(three_hole, sp, m=1, tol=1e-13)
+    modes = sk.min_modes(sk.Hessian(three_hole, sp), m=1, tol=1e-13)
     for a, b in ((2.0, 0.0), (0.0, 2.0), (1.0, 1.0), (1.5, 1.5)):
         L = sk.build_flat(three_hole, sp, modes.eigenvectors[:, 0], a, b)
         got = np.linalg.eigvalsh(_dense_hessian_of(L, sp))
@@ -204,7 +204,7 @@ def test_index_two_full_reversal():
     assert np.allclose(sorted(evals), [1.0, 2.0, 3.0], atol=1e-10)
     # anchor away from the saddle still minimizes at the saddle (quadratic V)
     x = np.array([0.4, -0.3, 0.2])
-    modes = sk.min_modes(p, x, m=2, tol=1e-13)
+    modes = sk.min_modes(sk.Hessian(p, x), m=2, tol=1e-13)
     L = sk.build_index_m(p, x, modes.eigenvectors)
     from saddlekit.subsolve import SubsolveConfig, minimize
     sol = minimize(L, x, SubsolveConfig(grad_tol=1e-14, max_inner_iters=200))
@@ -238,7 +238,7 @@ def test_index_m_gradient_fd():
     rng = np.random.default_rng(10)
     q = make_index2_cubic()
     x = 0.2 * rng.standard_normal(3)
-    modes = sk.min_modes(q, x, m=2, tol=1e-12)
+    modes = sk.min_modes(sk.Hessian(q, x), m=2, tol=1e-12)
     L = sk.build_index_m(q, x, modes.eigenvectors,
                          subset_alpha={(0,): 0.5}, subset_beta={(1,): 0.4, (0, 1): 1.0})
     y = x + 0.1 * rng.standard_normal(3)
@@ -347,7 +347,7 @@ def test_sphere_saddle_is_constrained_minimizer(sphere_quad):
 
     sp = np.array([0.0, 1.0, 0.0])
     proj = tangent_projector(sp)
-    modes = sk.min_modes(sphere_quad, sp, m=1, tol=1e-13, basis=proj.basis)
+    modes = sk.min_modes(sk.Hessian(sphere_quad, sp, proj.basis), m=1, tol=1e-13)
     for variant in ("hyperplane", "ray", "mix"):
         L = sk.build_manifold(sphere_quad, sp, modes.eigenvectors[:, 0], *COEFFICIENT_PRESETS[variant])
         # the anchor is a constrained stationary point of the objective

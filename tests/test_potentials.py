@@ -162,6 +162,18 @@ def test_from_quadratic():
         sk.from_quadratic(np.array([[1.0, 2.0], [0.0, 1.0]]))
 
 
+def test_from_quadratic_records_the_index_by_the_library_rule():
+    # a singular matrix whose zero eigenvalue comes out at roundoff below
+    # zero: count_negative's threshold counts it as zero, so the origin is
+    # recorded with the index that stationary_index gives it, 2, not 3
+    Q, _ = np.linalg.qr(np.random.default_rng(1).standard_normal((5, 5)))
+    H = Q @ np.diag([-0.85, -0.14, 0.0, 0.13, 0.75]) @ Q.T
+    H = 0.5 * (H + H.T)
+    assert int(np.sum(np.linalg.eigvalsh(H) < 0.0)) == 3
+    p = sk.from_quadratic(H)
+    assert p.stationary_points[0][1] == sk.stationary_index(p, np.zeros(5)) == 2
+
+
 # ---------------------------------------------------------------------------
 # Morse island
 
@@ -393,11 +405,11 @@ def test_morse_assembled_hessian_matches_products(morse, morse_saddle, where):
         amp = 0.05 if where == "perturbed" else 0.3
         x = x + amp * np.random.default_rng(29).standard_normal(x.size)
     H = morse.hessian_fn(x)
-    ref = sk.dense_hessian(dataclasses.replace(morse, hessian_fn=None), x)  # from products
+    ref = sk.Hessian(dataclasses.replace(morse, hessian_fn=None), x).matrix()  # from products
     assert H.shape == (morse.dimension, morse.dimension)
     np.testing.assert_array_equal(H, H.T)
     assert np.abs(H - ref).max() <= 1e-12 * np.abs(ref).max()
-    np.testing.assert_array_equal(sk.dense_hessian(morse, x), H)
+    np.testing.assert_array_equal(sk.Hessian(morse, x).matrix(), H)
 
 
 def test_xyz_roundtrip(tmp_path, morse):

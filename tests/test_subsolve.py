@@ -4,12 +4,11 @@ import numpy as np
 import pytest
 
 import saddlekit as sk
+from saddlekit.eigen import cholesky_solver, jacobi_solver
 from saddlekit.errors import SubsolveError
 from saddlekit.subsolve import (
     FlatGeometry,
     SubsolveConfig,
-    cholesky_solver,
-    jacobi_solver,
     minimize,
     newton_stationary,
     sd_single_step,
@@ -36,7 +35,7 @@ def test_ncg_exact_on_quadratic():
 
 def test_monotonicity_and_reporting(three_hole):
     sp = three_hole.stationary_points[0][0]
-    modes = sk.min_modes(three_hole, sp + 0.1, m=1, tol=1e-12)
+    modes = sk.min_modes(sk.Hessian(three_hole, sp + 0.1), m=1, tol=1e-12)
     L = sk.build_flat(three_hole, sp + 0.1, modes.eigenvectors[:, 0], 1.0, 1.0)
     y0 = sp + 0.1
     sol = minimize(L, y0, SubsolveConfig(grad_tol=1e-12, max_inner_iters=300))
@@ -47,7 +46,7 @@ def test_monotonicity_and_reporting(three_hole):
 
 def test_box_is_respected_exactly(three_hole):
     x = np.array([-1.0, 0.0]) + 0.05  # near a deep minimum: objective unbounded
-    modes = sk.min_modes(three_hole, x, m=1, tol=1e-10)
+    modes = sk.min_modes(sk.Hessian(three_hole, x), m=1, tol=1e-10)
     L = sk.build_flat(three_hole, x, modes.eigenvectors[:, 0], 0.0, 2.0)
     r = 0.25
     sol = minimize(L, x, SubsolveConfig(grad_tol=1e-12, max_inner_iters=150, box_radius=r))
@@ -140,7 +139,7 @@ def test_minimize_relaxes_a_potential_directly(three_hole):
 def test_sd_single_step_formula(three_hole):
     rng = np.random.default_rng(1)
     x = rng.standard_normal(2) * 0.3
-    modes = sk.min_modes(three_hole, x, m=1, tol=1e-13)
+    modes = sk.min_modes(sk.Hessian(three_hole, x), m=1, tol=1e-13)
     v = modes.eigenvectors[:, 0]
     for a, b in ((2.0, 0.0), (1.0, 1.0)):
         L = sk.build_flat(three_hole, x, v, a, b)
@@ -150,7 +149,7 @@ def test_sd_single_step_formula(three_hole):
         expected = x - dt * (g - (a + b) * (v @ g) * v)
         assert np.allclose(got, expected, atol=1e-15)
     sp = three_hole.stationary_points[0][0]
-    modes = sk.min_modes(three_hole, sp, m=1, tol=1e-13)
+    modes = sk.min_modes(sk.Hessian(three_hole, sp), m=1, tol=1e-13)
     L = sk.build_flat(three_hole, sp, modes.eigenvectors[:, 0], 2.0, 0.0)
     assert np.allclose(sd_single_step(L, sp, 0.05), sp, atol=1e-12)
 
