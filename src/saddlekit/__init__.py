@@ -34,7 +34,7 @@ from .objective import (
     build_manifold,
     build_sphere_naive,
 )
-from .subsolve import InnerSolve, NewtonResult, SubsolveConfig, minimize, newton_stationary, sd_single_step
+from .subsolve import InnerSolve, SubsolveConfig, minimize, sd_single_step
 from .manifold import (
     TangentProjector,
     constrained_index,
@@ -48,6 +48,7 @@ from .search import (
     estimate_order,
     initial_state,
     jacobian_of_step_map,
+    newton_stationary,
     run,
     step,
 )

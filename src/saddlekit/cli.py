@@ -24,9 +24,7 @@ def _cmd_run(args):
     cfg = load_config(args.config)
     summary = run_experiment(cfg, args.output)
     for r in summary["runs"]:
-        status = r.get("status", "converged" if r.get("converged") else "failed")
-        print(f"run {r['run']}: {status}" + (
-            f" in {r['iterations']} iterations" if "iterations" in r else ""))
+        print(f"run {r['run']}: {r['status']} in {r['iterations']} iterations")
     print(f"summary written to {args.output}")
     return 0 if summary["all_converged"] else 1
 

@@ -8,18 +8,20 @@ gradient, direction and Hessian action projected onto the tangent spaces
 of the unit sphere and the new point retracted onto it.  An
 eigenvector-following variant (flat space only) replaces ``v`` by the exact
 min-mode every step.  ``run`` evaluates the gradient and the Hessian action
-once per step and uses them both for its equilibrium test and for the step.
+once per step and uses them both for its equilibrium test and for the step,
+and returns a :class:`~saddlekit.search.ConvergenceRecord`.
 """
 
-import csv
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .eigen import Hessian, min_modes
+from .errors import EigensolveError
 from . import manifold as mf
+from .search import ConvergenceRecord, classify_terminal
 
-__all__ = ["GADState", "GADTrajectory", "euler_step", "run"]
+__all__ = ["GADState", "euler_step", "run"]
 
 
 @dataclass(frozen=True, eq=False)
@@ -74,8 +76,8 @@ def _advance(p, s: GADState, dt, reversal, exact_mode, on_sphere, g, v, Hv) -> G
     if on_sphere:
         v_new = mf.tangent_projector(x_new)(v_new)
     n = np.linalg.norm(v_new)
-    if n == 0.0:
-        raise ValueError("direction vanished after projection")
+    if not 0.0 < n < np.inf:
+        raise ValueError(f"the direction's norm became {n:g}")
     return GADState(x=x_new, v=v_new / n, t=s.t + dt, gamma=s.gamma)
 
 
@@ -95,74 +97,51 @@ def euler_step(p, s: GADState, dt, reversal=2.0, exact_mode=False, on_sphere=Fal
     return _advance(p, s, dt, reversal, exact_mode, on_sphere, g, v, Hv)
 
 
-@dataclass
-class GADTrajectory:
-    """Recorded flow history with a terminal equilibrium classification."""
-
-    times: list = field(default_factory=list)
-    xs: list = field(default_factory=list)
-    vs: list = field(default_factory=list)
-    grad_norms: list = field(default_factory=list)
-    status: str = "max_steps"
-    steps: int = 0
-
-    def add(self, s: GADState, grad_norm):
-        self.times.append(float(s.t))
-        self.xs.append(s.x.copy())
-        self.vs.append(s.v.copy())
-        self.grad_norms.append(float(grad_norm))
-
-    @property
-    def x(self):
-        return self.xs[-1]
-
-    @property
-    def v(self):
-        return self.vs[-1]
-
-    def errors(self, reference):
-        ref = np.asarray(reference, dtype=float)
-        return [float(np.linalg.norm(x - ref)) for x in self.xs]
-
-    def to_csv(self, path):
-        d = len(self.xs[0]) if self.xs else 0
-        with open(path, "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(["t"] + [f"x{i}" for i in range(d)]
-                       + [f"v{i}" for i in range(d)] + ["grad_norm"])
-            for t, x, v, gn in zip(self.times, self.xs, self.vs, self.grad_norms):
-                w.writerow([f"{t:.17g}"] + [f"{c:.17g}" for c in x]
-                           + [f"{c:.17g}" for c in v] + [f"{gn:.17g}"])
-
-
 def run(p, s0: GADState, dt, max_steps=10000, tol=1e-8, reversal=2.0,
-        on_sphere=False, exact_mode=False, record_every=1) -> GADTrajectory:
+        on_sphere=False, exact_mode=False, record_every=1) -> ConvergenceRecord:
     """Integrate until the equilibrium conditions hold or the budget is spent.
 
     Terminal test: gradient norm and the eigen-residual ||Hv - <v,Hv> v||
     both at or below ``tol`` (tangent-projected quantities on the unit
     sphere when ``on_sphere``).  The gradient and ``Hv`` of the test are the
     ones the following step uses.
+
+    The record has a row every ``record_every`` steps and at the last one,
+    with ``lambda1`` = ``<v,Hv>`` and the Euler steps since the previous
+    row as ``inner_iters``.  The status is ``converged``, ``max_iters`` or
+    ``failed``, whose message names the step: a non-finite gradient, a
+    direction whose norm vanished or overflowed, or a failed exact-mode
+    eigensolve.  ``terminal_index`` is set as for the outer search, by
+    :func:`~saddlekit.search.classify_terminal`.
     """
     _check_options(dt, exact_mode, on_sphere)
     if max_steps < 0 or record_every < 1:
         raise ValueError("max_steps must be non-negative and record_every positive")
-    traj = GADTrajectory()
-    s = s0
+    record = ConvergenceRecord()
+    xs, grad_norms, lams, steps = [], [], [], []
+    s, last = s0, 0
     for k in range(max_steps + 1):
         g, v, Hv = _flow(p, s, on_sphere)
         gn = float(np.linalg.norm(g, ord=np.inf))
-        if k % record_every == 0 or k == max_steps:
-            traj.add(s, gn)
-        resid = float(np.linalg.norm(Hv - float(v @ Hv) * v))
-        if gn <= tol and resid <= tol:
-            if traj.times[-1] != s.t:
-                traj.add(s, gn)
-            traj.status = "converged"
-            traj.steps = k
-            return traj
-        if k == max_steps:
+        lam = float(v @ Hv)
+        if not np.isfinite(gn):
+            record.status, record.message = "failed", f"step {k}: non-finite gradient"
+        elif gn <= tol and float(np.linalg.norm(Hv - lam * v)) <= tol:
+            record.status = "converged"
+        elif k < max_steps:
+            try:
+                s_next = _advance(p, s, dt, reversal, exact_mode, on_sphere, g, v, Hv)
+            except (ValueError, EigensolveError) as exc:
+                record.status, record.message = "failed", f"step {k + 1}: {exc}"
+        ends = k == max_steps or record.status != "max_iters"
+        if k % record_every == 0 or ends:
+            xs.append(s.x)
+            grad_norms.append(gn)
+            lams.append(lam)
+            steps.append(k - last)
+            last = k
+        if ends:
             break
-        s = _advance(p, s, dt, reversal, exact_mode, on_sphere, g, v, Hv)
-    traj.steps = max_steps
-    return traj
+        s = s_next
+    record.add(0, np.array(xs), None, grad_norms, lams, steps)
+    return classify_terminal(p, record, on_sphere)

@@ -28,9 +28,10 @@ from .search import (
     ConvergenceRecord,
     SearchConfig,
     estimate_order_pooled,
+    newton_stationary,
     run as run_search,
 )
-from .subsolve import SubsolveConfig, minimize, newton_stationary
+from .subsolve import SubsolveConfig, minimize
 
 __all__ = [
     "ExperimentConfig",
@@ -229,13 +230,15 @@ def write_json(path, obj):
 def run_experiment(cfg: ExperimentConfig, out_dir) -> dict:
     """Execute the configured runs and write records plus a JSON summary.
 
-    Writes one ``<label>_run<k>.csv`` per run and ``<label>_summary.json``;
-    for the cluster problem, initial and terminal geometries go to XYZ files.
-    Returns the summary dict; ``summary["all_converged"]`` drives the CLI
-    exit code.
+    Every method (imf, gad, newton) returns a :class:`ConvergenceRecord`,
+    written the same way: one ``<label>_run<k>.csv`` per run and
+    ``<label>_summary.json``, whose run entries hold the record's
+    ``summary()``; for the cluster problem, initial and terminal geometries
+    go to XYZ files.  Returns the summary dict; ``summary["all_converged"]``
+    drives the CLI exit code.
     """
     p = make_builtin(cfg.problem, cfg.problem_params)
-    # the reference is checked before any search runs or any output is written
+    # the reference and gad's v0 are checked before any run or any output
     reference, shape = cfg.reference, (p.dimension,)
     if isinstance(reference, str) and reference != "auto":
         raise ValueError(f'reference must be "auto", null or a point of shape {shape}, '
@@ -244,58 +247,49 @@ def run_experiment(cfg: ExperimentConfig, out_dir) -> dict:
         reference = np.asarray(reference, dtype=float)
         if reference.shape != shape:
             raise DimensionError(f"reference of shape {reference.shape} for points of shape {shape}")
+    g = dict(cfg.gad)
+    v0, gamma = g.pop("v0", None), g.pop("gamma", 1.0)
+    if cfg.method == "gad" and v0 is not None:
+        v0 = np.asarray(v0, dtype=float)
+        if v0.shape != shape or not 0.0 < np.linalg.norm(v0) < np.inf:
+            raise ValueError(f"gad v0 must be a nonzero finite vector of shape {shape}, "
+                             f"got {v0.tolist()}")
     os.makedirs(out_dir, exist_ok=True)
     starts, seed = _starts(cfg, p)
 
     runs = []
     sequences = []
     for k, x0 in enumerate(starts):
-        entry = {"run": k, "start": [float(v) for v in x0] if x0.size <= 8 else None}
         if cfg.method == "imf":
             scfg = _search_config(cfg)
+            on_sphere = scfg.on_sphere
             record = run_search(p, x0, scfg)
-            if isinstance(reference, str):  # "auto"
-                _auto_reference(p, record, on_sphere=scfg.on_sphere)
-            elif reference is not None:
-                record.measure(reference)
-            path = os.path.join(out_dir, f"{cfg.label}_run{k}.csv")
-            record.to_csv(path)
-            entry.update(record.summary())
-            entry["csv"] = os.path.basename(path)
-            entry["converged"] = record.converged
-            if record.errors():
-                sequences.append(record.errors(include_start=False))
-            if "coords" in p.extras:
-                for tag, vec in (("start", x0), ("end", record.x)):
-                    xyz = os.path.join(out_dir, f"{cfg.label}_run{k}_{tag}.xyz")
-                    write_xyz(xyz, morse_full_coordinates(p, vec),
-                              symbol=p.extras.get("element", "X"),
-                              comment=f"{cfg.label} run {k} {tag}")
         elif cfg.method == "gad":
-            g = dict(cfg.gad)
-            v0 = g.pop("v0", None)
+            on_sphere = g.get("on_sphere", False)
             rng = np.random.default_rng(seed + 1000 + k)
-            v0 = np.asarray(v0, float) if v0 is not None else rng.standard_normal(p.dimension)
-            state = gad_mod.GADState(x=x0, v=v0 / np.linalg.norm(v0),
-                                     gamma=float(g.pop("gamma", 1.0)))
-            traj = gad_mod.run(p, state, **g)
-            path = os.path.join(out_dir, f"{cfg.label}_run{k}.csv")
-            traj.to_csv(path)
-            entry.update({
-                "status": traj.status, "steps": traj.steps,
-                "terminal_x": [float(v) for v in traj.x],
-                "terminal_grad_norm": traj.grad_norms[-1],
-                "csv": os.path.basename(path),
-                "converged": traj.status == "converged",
-            })
-        else:  # newton
-            res = newton_stationary(p, x0, **cfg.newton)
-            entry.update({
-                "converged": res.converged, "index": res.index,
-                "iterations": res.iterations, "message": res.message,
-                "terminal_x": [float(v) for v in res.x] if res.x.size <= 8 else None,
-            })
-        runs.append(entry)
+            v = v0 if v0 is not None else rng.standard_normal(p.dimension)
+            state = gad_mod.GADState(x=x0, v=v / np.linalg.norm(v), gamma=float(gamma))
+            record = gad_mod.run(p, state, **g)
+        else:
+            on_sphere = False
+            record = newton_stationary(p, x0, **cfg.newton)
+        if isinstance(reference, str):  # "auto"
+            _auto_reference(p, record, on_sphere=on_sphere)
+        elif reference is not None:
+            record.measure(reference)
+        path = os.path.join(out_dir, f"{cfg.label}_run{k}.csv")
+        record.to_csv(path)
+        runs.append({"run": k, "start": [float(v) for v in x0] if x0.size <= 8 else None,
+                     **record.summary(), "csv": os.path.basename(path),
+                     "converged": record.converged})
+        if record.errors():
+            sequences.append(record.errors(include_start=False))
+        if "coords" in p.extras:
+            for tag, vec in (("start", x0), ("end", record.x)):
+                xyz = os.path.join(out_dir, f"{cfg.label}_run{k}_{tag}.xyz")
+                write_xyz(xyz, morse_full_coordinates(p, vec),
+                          symbol=p.extras.get("element", "X"),
+                          comment=f"{cfg.label} run {k} {tag}")
 
     summary = {
         "label": cfg.label,
@@ -303,7 +297,7 @@ def run_experiment(cfg: ExperimentConfig, out_dir) -> dict:
         "method": cfg.method,
         "seed": seed,
         "runs": runs,
-        "all_converged": all(r.get("converged", False) for r in runs),
+        "all_converged": all(r["converged"] for r in runs),
     }
     if len(sequences) > 1:
         try:
@@ -412,7 +406,6 @@ class DoaGrid:
 def _doa_cell(args):
     (problem, params, method, point, budget, box, saddle_tol) = args
     p = make_builtin(problem, params)
-    saddles = p.saddle_points()
     x0 = np.asarray(point, dtype=float)
     if method == "imf":
         cfg = SearchConfig(
@@ -421,20 +414,14 @@ def _doa_cell(args):
             max_outer_iters=budget, divergence_radius=50.0,
         )
         rec = run_search(p, x0, cfg)
-        x, iters = rec.x, rec.iterations
-        if rec.terminal_index != 1:  # None unless the run converged
-            return -1, iters
-    elif method == "newton":
-        res = newton_stationary(p, x0, tol=1e-8, max_iters=budget)
-        if not res.converged or res.index != 1:
-            return -1, res.iterations
-        x, iters = res.x, res.iterations
     else:
-        raise ValueError(f"doa supports imf|newton, got {method!r}")
-    for i, s in enumerate(saddles):
-        if np.linalg.norm(x - s) <= saddle_tol:
-            return i, iters
-    return -1, iters
+        rec = newton_stationary(p, x0, tol=1e-8, max_iters=budget)
+    if rec.terminal_index != 1:  # None unless the run converged
+        return -1, rec.iterations
+    for i, s in enumerate(p.saddle_points()):
+        if np.linalg.norm(rec.x - s) <= saddle_tol:
+            return i, rec.iterations
+    return -1, rec.iterations
 
 
 def doa_scan(problem, method, region, n, budget=200, box=0.25, saddle_tol=1e-3,
@@ -446,6 +433,8 @@ def doa_scan(problem, method, region, n, budget=200, box=0.25, saddle_tol=1e-3,
     Cells are independent and run on a process pool; the assembled result
     is deterministic.
     """
+    if method not in ("imf", "newton"):
+        raise ValueError(f"doa supports imf|newton, got {method!r}")
     (x_lo, x_hi), (y_lo, y_hi) = region
     xs = np.linspace(x_lo, x_hi, n)
     ys = np.linspace(y_lo, y_hi, n)

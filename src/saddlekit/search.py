@@ -4,6 +4,10 @@ Each step maps the current point to the minimizer of a locally reversed
 objective anchored there.  Near a saddle whose smallest Hessian eigenvalue
 is simple, the step map has a vanishing Jacobian at the saddle, so the
 iteration converges quadratically once the inner solves are accurate.
+
+:func:`run`, the Newton baseline :func:`newton_stationary` and ``gad.run``
+each return a :class:`ConvergenceRecord`, whose terminal point
+:func:`classify_terminal` classifies.
 """
 
 import csv
@@ -27,6 +31,8 @@ from .subsolve import SubsolveConfig, minimize
 # residual target of the Jacobi eigensolve that gives a search's first
 # factored step its reference mode (and the full eigensolve its warm start)
 _REFERENCE_TOL = 0.3
+# Newton's longest accepted step: a longer one ends the run as a failure
+_NEWTON_STEP_LIMIT = 10.0
 
 __all__ = [
     "SearchState",
@@ -35,6 +41,8 @@ __all__ = [
     "initial_state",
     "step",
     "run",
+    "classify_terminal",
+    "newton_stationary",
     "jacobian_of_step_map",
     "estimate_order",
     "estimate_order_pooled",
@@ -226,7 +234,8 @@ class ConvergenceRecord:
 
     ``rows``, a read-only property, lists the history as tuples
     (iteration, x, error, grad_norm, lambda1, inner_iters); iteration 0 is
-    the starting point, and row k is iteration k.  ``error`` is None until
+    the starting point, and row k is iteration k (a Newton iterate, or the
+    k-th sample of a ``gad.run`` flow).  ``error`` is None until
     :meth:`measure` sets it to the distance from a saddle.
 
     The rows are stored in one float64 array, row k holding grad_norm,
@@ -238,7 +247,8 @@ class ConvergenceRecord:
     ``status`` is one of ``converged``, ``max_iters`` (the budget ran out),
     ``cycling`` (a step that moved the point reproduced an earlier state
     exactly), ``diverged``, ``left_region`` and ``failed``; :func:`run`
-    says when each is set.  A zero-length step is a stall, not a cycle:
+    says when each is set, and :func:`newton_stationary` and ``gad.run``
+    when the three they use are.  A zero-length step is a stall, not a cycle:
     such a run ends ``max_iters``.
     """
 
@@ -250,15 +260,20 @@ class ConvergenceRecord:
 
     def add(self, iteration, x, error, grad_norm, lam1, inner_iters):
         """Append the row of ``iteration``, which must be the next one; the
-        error must be None (:meth:`measure` sets it)."""
+        error must be None (:meth:`measure` sets it).  A 2-d ``x``, with
+        sequences for ``grad_norm``, ``lam1`` and ``inner_iters``, appends
+        consecutive rows at the cost of one copy of the array, not one each."""
         if int(iteration) != len(self._data):
             raise ValueError(f"iteration {iteration} added after {len(self._data)} rows")
         if error is not None:
             raise ValueError("rows are added unmeasured; measure() sets the errors")
-        row = np.concatenate((
-            [grad_norm, np.nan if lam1 is None else lam1, inner_iters],
-            np.asarray(x, dtype=float)))[None]
-        self._data = np.concatenate((self._data, row)) if len(self._data) else row
+        x = np.asarray(x, dtype=float)
+        if x.ndim == 2:
+            rows = np.column_stack((grad_norm, np.asarray(lam1, dtype=float), inner_iters, x))
+        else:
+            rows = np.concatenate((
+                [grad_norm, np.nan if lam1 is None else lam1, inner_iters], x))[None]
+        self._data = np.concatenate((self._data, rows)) if len(self._data) else rows
 
     def measure(self, reference):
         """Sets every row's error to |x - reference|; returns the record.
@@ -358,11 +373,9 @@ def run(p, x0, cfg: SearchConfig) -> ConvergenceRecord:
       without a trust box, or the gradient at the start or after a step was
       non-finite.
 
-    A converged run's terminal point is
-    classified by a dense eigensolve into ``terminal_index`` when the
-    dimension is at most ``INDEX_MAX_DIMENSION``; larger runs leave it None,
-    and a non-finite Hessian there ends the run as ``failed``.  The rows'
-    errors stay None; :meth:`ConvergenceRecord.measure` sets them.
+    A converged run's terminal point is classified by
+    :func:`classify_terminal`.  The rows' errors stay None;
+    :meth:`ConvergenceRecord.measure` sets them.
     """
     record = ConvergenceRecord()
     state = initial_state(p, x0, cfg)
@@ -412,9 +425,20 @@ def run(p, x0, cfg: SearchConfig) -> ConvergenceRecord:
                 break
             seen[key] = state.outer_iter
 
+    return classify_terminal(p, record, cfg.on_sphere)
+
+
+def classify_terminal(p, record: ConvergenceRecord, on_sphere=False) -> ConvergenceRecord:
+    """Sets a converged record's ``terminal_index``; returns the record.
+
+    The terminal point is classified by a dense eigensolve (the intrinsic
+    index on the unit sphere) when the dimension is at most
+    ``INDEX_MAX_DIMENSION``; larger runs leave it None, and a non-finite
+    Hessian there ends the run as ``failed``.
+    """
     if record.converged and p.dimension <= INDEX_MAX_DIMENSION:
         try:
-            if cfg.on_sphere:
+            if on_sphere:
                 record.terminal_index = mf.constrained_index(p, record.x)
             else:
                 record.terminal_index = stationary_index(p, record.x)
@@ -422,6 +446,41 @@ def run(p, x0, cfg: SearchConfig) -> ConvergenceRecord:
             record.status = "failed"
             record.message = f"terminal point: {exc}"
     return record
+
+
+def newton_stationary(p, x0, tol=1e-10, max_iters=200) -> ConvergenceRecord:
+    """Plain Newton iteration on grad V = 0 with dense Hessian solves.
+
+    Baseline root finder for stationary points of any index, under
+    :func:`run`'s contract: one row per iterate (``lambda1`` None,
+    ``inner_iters`` 0) and the status ``converged``, ``max_iters`` or
+    ``failed``: a singular Hessian, a step over the limit, a model above
+    ``INDEX_MAX_DIMENSION`` or a non-finite terminal Hessian.
+    """
+    record = ConvergenceRecord()
+    x = np.asarray(x0, dtype=float).copy()
+    for it in range(max_iters + 1):
+        g = p.gradient(x)
+        gn = float(np.linalg.norm(g, ord=np.inf))
+        record.add(it, x, None, gn, None, 0)
+        if gn <= tol:
+            record.status = "converged"
+            break
+        if it == max_iters:
+            break
+        try:
+            step = np.linalg.solve(Hessian(p, x).matrix(), -g)
+        except np.linalg.LinAlgError:
+            record.status, record.message = "failed", "singular Hessian"
+            break
+        except ValueError as exc:  # the matrix of a model above INDEX_MAX_DIMENSION
+            record.status, record.message = "failed", str(exc)
+            break
+        if not np.all(np.isfinite(step)) or np.linalg.norm(step) > _NEWTON_STEP_LIMIT:
+            record.status, record.message = "failed", "step exceeded limit"
+            break
+        x = x + step
+    return classify_terminal(p, record)
 
 
 def jacobian_of_step_map(p, x, cfg: SearchConfig, h=1e-4) -> np.ndarray:

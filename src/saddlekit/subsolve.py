@@ -1,4 +1,4 @@
-"""Inner minimizers for the per-iteration objective, plus a Newton baseline.
+"""Inner minimizers for the per-iteration objective.
 
 ``descend`` is the one descent loop: Polak-Ribiere+ nonlinear CG, restarted
 on the preconditioned gradient, with a curvature-informed line search
@@ -25,16 +25,13 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .eigen import Hessian
-from .errors import EigensolveError, SubsolveError
+from .errors import SubsolveError
 
 __all__ = [
     "SubsolveConfig",
     "InnerSolve",
-    "NewtonResult",
     "minimize",
     "sd_single_step",
-    "newton_stationary",
 ]
 
 _ARMIJO_C1 = 1e-4
@@ -42,8 +39,6 @@ _MAX_HALVINGS = 60
 # trial step length, over |d|, when the direction has no positive curvature
 # and no step has been accepted yet
 _FIRST_STEP = 0.1
-# Newton's longest accepted step: a longer one ends the run as a failure
-_NEWTON_STEP_LIMIT = 10.0
 
 
 @dataclass(frozen=True)
@@ -68,14 +63,6 @@ class InnerSolve(NamedTuple):
     y: np.ndarray
     inner_iters: int
     grad_norm: float
-
-
-class NewtonResult(NamedTuple):
-    x: np.ndarray
-    index: int  # Hessian index at the terminal point, None on failure
-    converged: bool
-    iterations: int
-    message: str
 
 
 def sd_single_step(L, y0, dt) -> np.ndarray:
@@ -259,30 +246,3 @@ def minimize(L, y0, cfg: SubsolveConfig, precondition=None) -> InnerSolve:
     """
     y0 = np.asarray(y0, dtype=float)
     return descend(L, y0, cfg, FlatGeometry(y0, cfg, precondition))
-
-
-def newton_stationary(p, x0, tol=1e-10, max_iters=200) -> NewtonResult:
-    """Plain Newton iteration on grad V = 0 with dense Hessian solves.
-
-    Baseline root finder: converges to stationary points of any index, or
-    fails on singular Hessians, oversized steps, or iteration exhaustion.
-    Each iterate's :class:`~saddlekit.eigen.Hessian` gives its step, and at
-    the converged point its index; a non-finite Hessian there fails the run.
-    """
-    x = np.asarray(x0, dtype=float).copy()
-    for it in range(max_iters):
-        g = p.gradient(x)
-        h = Hessian(p, x)
-        if float(np.linalg.norm(g, ord=np.inf)) <= tol:
-            try:
-                return NewtonResult(x, h.index(), True, it, "converged")
-            except EigensolveError as exc:
-                return NewtonResult(x, None, False, it, f"converged point: {exc}")
-        try:
-            step = np.linalg.solve(h.matrix(), -g)
-        except np.linalg.LinAlgError:
-            return NewtonResult(x, None, False, it, "singular Hessian")
-        if not np.all(np.isfinite(step)) or np.linalg.norm(step) > _NEWTON_STEP_LIMIT:
-            return NewtonResult(x, None, False, it, "step exceeded limit")
-        x = x + step
-    return NewtonResult(x, None, False, max_iters, "iteration budget exhausted")

@@ -187,9 +187,9 @@ def test_criterion_08_flow_equivalence_and_rates():
     for _ in range(3):
         th = rng.uniform(0.0, 2.0 * math.pi)
         x0 = SP_BOTTOM + 0.1 * np.array([math.cos(th), math.sin(th)])
-        traj = gad.run(THREE_HOLE, gad.GADState(x=x0.copy(), v=np.array([0.0, 1.0])),
-                       dt=0.01, max_steps=60000, tol=1e-11, record_every=25)
-        errs = [e for e in traj.errors(SP_BOTTOM) if e > 1e-13]
+        rec = gad.run(THREE_HOLE, gad.GADState(x=x0.copy(), v=np.array([0.0, 1.0])),
+                      dt=0.01, max_steps=60000, tol=1e-11, record_every=25)
+        errs = [e for e in rec.measure(SP_BOTTOM).errors() if e > 1e-13]
         gad_orders.append(estimate_order(errs[4:]))
         cfg = sk.SearchConfig(alpha=1.0, beta=1.0, grad_tol=5e-14, eig_tol=1e-12,
                               subsolve=_exact_subsolve(box=0.25),

@@ -6,6 +6,8 @@ from saddlekit import gad
 from saddlekit.search import estimate_order
 from saddlekit.subsolve import sd_single_step
 
+from conftest import make_nan_second_derivative_models
+
 
 def test_state_validation():
     with pytest.raises(ValueError):
@@ -32,15 +34,12 @@ def test_direction_renormalized(double_well2):
 def test_double_well_converges_to_saddle():
     p = sk.make_builtin("double_well")  # mu = 1
     s0 = gad.GADState(x=np.array([0.1, 0.1]), v=np.array([1.0, 0.0]))
-    traj = gad.run(p, s0, dt=0.01, max_steps=20000, tol=1e-10)
-    assert traj.status == "converged"
-    assert np.linalg.norm(traj.x) < 1e-9
-    assert abs(abs(traj.v[0]) - 1.0) < 1e-6
-    # terminal equilibrium: direction is an eigenvector of the Hessian
-    Hv = p.hessian_vec(traj.x, traj.v)
-    lam = traj.v @ Hv
-    assert np.linalg.norm(Hv - lam * traj.v) <= 1e-9
-    assert np.isclose(lam, -1.0, atol=1e-6)
+    rec = gad.run(p, s0, dt=0.01, max_steps=20000, tol=1e-10)
+    assert rec.converged
+    assert np.linalg.norm(rec.x) < 1e-9
+    # the last row's <v,Hv> is -1 + 2 sin^2 of v's angle off the x axis
+    # here, so a bound of 1e-6 puts |v_0| within 1e-6 of 1
+    assert np.isclose(rec.rows[-1][4], -1.0, atol=1e-6)
 
 
 def test_stays_at_minimum_with_exact_mode():
@@ -73,9 +72,9 @@ def test_frozen_mode_step_matches_single_descent_step(three_hole):
 def test_linear_rate(three_hole):
     sp = three_hole.stationary_points[0][0]
     s0 = gad.GADState(x=sp + np.array([0.05, 0.08]), v=np.array([0.0, 1.0]))
-    traj = gad.run(three_hole, s0, dt=0.01, max_steps=60000, tol=1e-11, record_every=25)
-    assert traj.status == "converged"
-    errs = [e for e in traj.errors(sp) if e > 1e-13]
+    rec = gad.run(three_hole, s0, dt=0.01, max_steps=60000, tol=1e-11, record_every=25)
+    assert rec.status == "converged"
+    errs = [e for e in rec.measure(sp).errors() if e > 1e-13]
     order = estimate_order(errs[4:])  # drop the direction-relaxation transient
     assert order <= 1.3
 
@@ -105,9 +104,11 @@ def test_run_evaluates_once_per_step(three_hole, sphere_quad, on_sphere):
     else:
         p, calls = _counting(three_hole)
         s0 = gad.GADState(x=three_hole.stationary_points[0][0] + 0.05, v=np.array([0.0, 1.0]))
-    traj = gad.run(p, s0, dt=0.02, max_steps=3000, tol=1e-9, on_sphere=on_sphere)
-    assert traj.status == "converged" and traj.steps > 10
-    assert calls == {"gradient": traj.steps + 1, "hvp": traj.steps + 1}
+    rec = gad.run(p, s0, dt=0.02, max_steps=3000, tol=1e-9, on_sphere=on_sphere)
+    assert rec.status == "converged" and rec.iterations > 10
+    # plus the terminal classification: one product per (tangent) basis
+    # vector, and on the sphere the gradient of the multiplier x.grad V
+    assert calls == {"gradient": rec.iterations + 1 + on_sphere, "hvp": rec.iterations + 1 + 2}
 
 
 def test_exact_mode_is_flat_only(sphere_quad):
@@ -126,14 +127,58 @@ def test_run_refuses_a_bad_budget(double_well2, budget):
         gad.run(double_well2, s, dt=0.01, **budget)
 
 
+def test_diverging_flow_ends_failed_at_the_step():
+    # the flow leaves the surface's basin and |x| reaches 4.6e153 at step
+    # 38, where the gradient overflows: the run ends there instead of raising
+    p = sk.make_builtin("three_hole")
+    s0 = gad.GADState(x=np.array([-1.5, 1.5]), v=np.array([1.0, 0.0]))
+    with np.errstate(all="ignore"):
+        rec = gad.run(p, s0, dt=0.01, max_steps=200)
+    assert (rec.status, rec.message) == ("failed", "step 38: non-finite gradient")
+    assert (rec.iterations, rec.terminal_index) == (38, None)
+    assert np.linalg.norm(rec.x) > 1e153
+
+
+_STIFF = np.array([1e308, -1e308])
+
+
+@pytest.mark.parametrize("model, exact_mode, message", [
+    # a Hessian so stiff that the direction update overflows: its norm is
+    # inf, and normalizing would leave a zero or NaN direction
+    (sk.PotentialModel("stiff", 2, lambda x: 0.0, lambda x: _STIFF * x, lambda x, u: _STIFF * u),
+     False, "the direction's norm became inf"),
+    (make_nan_second_derivative_models()[0], False, "the direction's norm became nan"),
+    (make_nan_second_derivative_models()[0], True, "non-finite Hessian-vector product"),
+], ids=["overflow", "nan", "nan-exact-mode"])
+def test_vanished_direction_ends_failed_at_the_step(model, exact_mode, message):
+    s0 = gad.GADState(x=np.array([0.0, 0.1]), v=np.array([1.0, 1.0]))
+    with np.errstate(all="ignore"):
+        rec = gad.run(model, s0, dt=0.01, max_steps=10, record_every=5, exact_mode=exact_mode)
+    assert (rec.status, rec.message) == ("failed", f"step 1: {message}")
+    assert (rec.iterations, [row[5] for row in rec.rows]) == (0, [0])
+
+
+def test_rows_sample_every_record_every_steps(double_well2):
+    s0 = gad.GADState(x=np.array([0.2, 0.1]), v=np.array([1.0, 0.0]))
+    rec = gad.run(double_well2, s0, dt=0.02, max_steps=45, tol=1e-12, record_every=10)
+    assert (rec.status, rec.message, rec.terminal_index) == ("max_iters", "", None)
+    assert [row[5] for row in rec.rows] == [0, 10, 10, 10, 10, 5]
+    s = s0
+    for _ in range(45):
+        s = gad.euler_step(double_well2, s, dt=0.02)
+    assert np.array_equal(rec.x, s.x)
+    Hv = double_well2.hessian_vec(s.x, s.v)
+    assert rec.rows[-1][4] == float(s.v @ Hv)
+
+
 def test_trajectory_csv(tmp_path, double_well2):
     s0 = gad.GADState(x=np.array([0.2, 0.1]), v=np.array([1.0, 0.0]))
-    traj = gad.run(double_well2, s0, dt=0.02, max_steps=200, tol=1e-12, record_every=10)
+    rec = gad.run(double_well2, s0, dt=0.02, max_steps=200, tol=1e-12, record_every=10)
     path = tmp_path / "traj.csv"
-    traj.to_csv(path)
+    rec.to_csv(path)
     lines = path.read_text().splitlines()
-    assert lines[0] == "t,x0,x1,v0,v1,grad_norm"
-    assert len(lines) == len(traj.times) + 1
+    assert lines[0] == "iter,error,grad_norm,lambda1,inner_iters,x0,x1"
+    assert len(lines) == len(rec.rows) + 1
 
 
 # -- sphere variant -----------------------------------------------------------
@@ -152,10 +197,10 @@ def test_manifold_converges_to_constrained_saddle(sphere_quad):
     x0 /= np.linalg.norm(x0)
     v0 = rng.standard_normal(3)
     s0 = gad.GADState(x=x0, v=v0)
-    traj = gad.run(sphere_quad, s0, dt=0.02, max_steps=40000, tol=1e-9, on_sphere=True)
-    assert traj.status == "converged"
-    assert min(np.linalg.norm(traj.x - np.array([0.0, 1.0, 0.0])),
-               np.linalg.norm(traj.x + np.array([0.0, 1.0, 0.0]))) < 1e-6
+    rec = gad.run(sphere_quad, s0, dt=0.02, max_steps=40000, tol=1e-9, on_sphere=True)
+    assert rec.status == "converged"
+    assert min(np.linalg.norm(rec.x - np.array([0.0, 1.0, 0.0])),
+               np.linalg.norm(rec.x + np.array([0.0, 1.0, 0.0]))) < 1e-6
 
 
 def test_manifold_constraint_drift(sphere_quad):

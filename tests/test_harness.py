@@ -182,7 +182,43 @@ def test_run_experiment_newton(tmp_path):
         "start": {"point": [0.0, -0.3]},
     })
     summary = run_experiment(cfg, tmp_path)
-    assert summary["runs"][0]["index"] == 1
+    assert summary["runs"][0]["terminal_index"] == 1
+
+
+@pytest.mark.parametrize("method", ["imf", "gad", "newton"])
+def test_every_method_writes_one_record_format(tmp_path, capsys, method):
+    # the three methods return one record type: the same files, CSV header
+    # and run-entry keys, and the CLI reads every entry the same way
+    cfg_path = tmp_path / "exp.yaml"
+    cfg_path.write_text(yaml.safe_dump(_tiny_config(
+        method=method, label="c", start={"point": [0.05, -0.25]},
+        gad={"v0": [1.0, 0.0], "dt": 0.01, "max_steps": 20000, "tol": 1e-9},
+        newton={"tol": 1e-10})))
+    out = tmp_path / "out"
+    assert cli.main(["run", str(cfg_path), "-o", str(out)]) == 0
+    summary = json.loads((out / "c_summary.json").read_text())
+    run = summary["runs"][0]
+    assert sorted(p.name for p in out.iterdir()) == ["c_run0.csv", "c_summary.json"]
+    assert (out / "c_run0.csv").read_text().splitlines()[0] == (
+        "iter,error,grad_norm,lambda1,inner_iters,x0,x1")
+    assert list(run) == ["run", "start", "status", "message", "iterations", "terminal_index",
+                         "terminal_x", "terminal_grad_norm", "errors", "estimated_order",
+                         "csv", "converged"]
+    assert (run["status"], run["message"], run["terminal_index"], run["converged"]) == (
+        "converged", "", 1, True)
+    assert run["errors"][-1] < 1e-8 and len(run["errors"]) == run["iterations"] + 1
+    assert capsys.readouterr().out.splitlines()[0] == (
+        f"run 0: converged in {run['iterations']} iterations")
+
+
+def test_gad_v0_of_zero_norm_is_refused_before_any_output(tmp_path):
+    cfg = config_from_dict({
+        "problem": "three_hole", "method": "gad", "gad": {"v0": [0, 0], "dt": 0.01},
+        "start": {"point": [0.1, -0.2]},
+    })
+    with pytest.raises(ValueError, match="v0"):
+        run_experiment(cfg, tmp_path / "out")
+    assert not (tmp_path / "out").exists()
 
 
 def _measured(errors):
@@ -221,6 +257,15 @@ def test_doa_single_cell_at_saddle(three_hole):
         grid = doa_scan("three_hole", method, region, 1, workers=1)
         assert grid.labels[0, 0] == 0
         assert grid.labeled_cells() == 1
+
+
+def test_doa_refuses_an_unknown_method_before_starting_a_pool(monkeypatch):
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a process pool was started")
+
+    monkeypatch.setattr(harness, "ProcessPoolExecutor", no_pool)
+    with pytest.raises(ValueError, match="doa supports imf\\|newton, got 'gad'"):
+        doa_scan("three_hole", "gad", ((-0.2, 0.2), (-0.5, -0.1)), 2, workers=2)
 
 
 def test_doa_small_grid_matches_direct_runs(three_hole):

@@ -6,11 +6,12 @@ import pytest
 import saddlekit as sk
 from saddlekit.eigen import cholesky_solver, jacobi_solver
 from saddlekit.errors import SubsolveError
+from saddlekit.eigen import INDEX_MAX_DIMENSION
+from saddlekit.search import newton_stationary
 from saddlekit.subsolve import (
     FlatGeometry,
     SubsolveConfig,
     minimize,
-    newton_stationary,
     sd_single_step,
 )
 
@@ -237,30 +238,50 @@ def test_config_validation():
 
 def test_newton_from_saddle(three_hole):
     sp = three_hole.stationary_points[0][0]
-    res = newton_stationary(three_hole, sp, tol=1e-10)
-    assert res.converged and res.index == 1 and res.iterations <= 1
+    rec = newton_stationary(three_hole, sp, tol=1e-10)
+    assert rec.converged and rec.terminal_index == 1 and rec.iterations <= 1
 
 
 def test_newton_finds_maximum_not_saddle(three_hole):
     # the classical failure mode: started between wells it locks onto the peak
-    res = newton_stationary(three_hole, np.array([0.0, 0.5]), tol=1e-10)
-    assert res.converged
-    assert res.index == 2
+    rec = newton_stationary(three_hole, np.array([0.0, 0.5]), tol=1e-10)
+    assert rec.converged
+    assert rec.terminal_index == 2
     peak = [q for q, idx in three_hole.stationary_points if idx == 2][0]
-    assert np.linalg.norm(res.x - peak) < 1e-8
+    assert np.linalg.norm(rec.x - peak) < 1e-8
 
 
 def test_newton_failure_modes(three_hole):
-    res = newton_stationary(three_hole, np.array([30.0, 30.0]), tol=1e-10)
-    assert not res.converged
-    assert res.index is None
-    assert (res.iterations, res.message) == (0, "step exceeded limit")
+    rec = newton_stationary(three_hole, np.array([30.0, 30.0]), tol=1e-10)
+    assert not rec.converged
+    assert rec.terminal_index is None
+    assert (rec.iterations, rec.message) == (0, "step exceeded limit")
 
 
 def test_newton_non_finite_hessian_at_converged_point_fails():
     # started on the stationary point: the index check meets a NaN Hessian,
     # which ends the run as a failure instead of raising out of it
     for p in make_nan_second_derivative_models():
-        res = newton_stationary(p, np.zeros(2))
-        assert (res.index, res.converged, res.iterations, res.message) == (
-            None, False, 0, "converged point: non-finite Hessian")
+        rec = newton_stationary(p, np.zeros(2))
+        assert (rec.terminal_index, rec.converged, rec.iterations, rec.message) == (
+            None, False, 0, "terminal point: non-finite Hessian")
+
+
+def test_newton_above_the_dense_cap_fails_instead_of_raising():
+    # a model too large for a dense Hessian ends the run failed at its
+    # first iterate, with the cap's message, instead of raising out of it
+    d = INDEX_MAX_DIMENSION + 1
+    p = sk.PotentialModel("bowl", d, lambda x: 0.5 * float(x @ x), lambda x: x.copy(),
+                          lambda x, u: u.copy())
+    rec = newton_stationary(p, np.ones(d))
+    assert (rec.status, rec.iterations, rec.terminal_index) == ("failed", 0, None)
+    assert rec.message == f"dense Hessian capped at dimension {INDEX_MAX_DIMENSION}, model has {d}"
+    assert np.array_equal(rec.x, np.ones(d))
+
+
+def test_newton_keeps_one_row_per_iterate_and_stops_at_its_budget(three_hole):
+    x0 = np.array([0.3, -0.1])
+    rec = newton_stationary(three_hole, x0, tol=1e-300, max_iters=4)
+    assert (rec.status, rec.message, rec.iterations) == ("max_iters", "", 4)
+    assert [(lam, inner) for _, _, _, _, lam, inner in rec.rows] == [(None, 0)] * 5
+    assert rec.rows[0][3] == float(np.linalg.norm(three_hole.gradient(x0), np.inf))
