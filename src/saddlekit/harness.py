@@ -1,8 +1,10 @@
 """Experiment orchestration: configs, benchmark presets, attraction grids.
 
 Configuration files are YAML mappings (schema documented in the README and
-in :func:`load_config`).  Every preset and scan is deterministic: seeds are
-explicit in the config and echoed into the outputs.
+in :func:`load_config`); a method section's keys are its entry point's
+keyword settings.  :func:`run_experiment` checks the settings and builds
+the starts before it writes anything.  Every preset and scan is
+deterministic: seeds are explicit in the config and echoed into the outputs.
 """
 
 import functools
@@ -67,7 +69,7 @@ _START_KEYS = {
 _SECTION_KEYS = {
     "search": tuple(SearchConfig.__dataclass_fields__),
     "search.subsolve": tuple(SubsolveConfig.__dataclass_fields__),
-    "gad": ("v0", "gamma", *list(inspect.signature(gad_mod.run).parameters)[2:]),
+    "gad": tuple(inspect.signature(gad_mod.run).parameters)[2:],
     "newton": tuple(inspect.signature(newton_stationary).parameters)[2:],
 }
 
@@ -157,30 +159,29 @@ def _search_config(cfg: ExperimentConfig) -> SearchConfig:
 
 
 def _starts(cfg: ExperimentConfig, p):
-    """Materialize start points; returns (points, seed_used)."""
+    """Materialize the start points."""
     spec = cfg.start
     rng = np.random.default_rng(cfg.seed)
     if "point" in spec:
-        return [np.asarray(spec["point"], dtype=float)], cfg.seed
+        return [np.asarray(spec["point"], dtype=float)]
     if "circle" in spec:
         c = spec["circle"]
         center = np.asarray(c["center"], dtype=float)
         if center.shape != (2,):
             raise ValueError("circle starts require a 2-d center")
-        return [_on_circle(rng, center, float(c["radius"]))
-                for _ in range(int(c.get("count", 1)))], cfg.seed
+        return [_on_circle(rng, center, float(c["radius"])) for _ in range(int(c.get("count", 1)))]
     if "sphere_cap" in spec:
         c = spec["sphere_cap"]
         center = np.asarray(c["center"], dtype=float)
         center = center / np.linalg.norm(center)
         return [_on_cap(rng, center, float(c["geodesic_distance"]))
-                for _ in range(int(c.get("count", 1)))], cfg.seed
+                for _ in range(int(c.get("count", 1)))]
     # perturbed_minimum: relax the built geometry, then displace free coordinates
     c = spec["perturbed_minimum"]
     amp = float(c.get("amplitude", 0.05))
     count = int(c.get("count", 1))
     xref = _relaxed_minimum(p)
-    return [xref + amp * rng.standard_normal(xref.size) for _ in range(count)], cfg.seed
+    return [xref + amp * rng.standard_normal(xref.size) for _ in range(count)]
 
 
 def _on_circle(rng, center, radius):
@@ -227,6 +228,29 @@ def write_json(path, obj):
 # experiment runner
 
 
+def _method_call(cfg: ExperimentConfig, p):
+    """``(call, on_sphere)``: ``call(k, x0)`` runs the method from start ``k``."""
+    if cfg.method == "imf":
+        scfg = _search_config(cfg)
+        return (lambda k, x0: run_search(p, x0, scfg)), scfg.on_sphere
+    if cfg.method == "newton":
+        return (lambda k, x0: newton_stationary(p, x0, **cfg.newton)), False
+    settings = dict(cfg.gad)
+    v0 = settings.pop("v0", None)
+    if v0 is not None:
+        v0 = np.asarray(v0, dtype=float)
+        if v0.shape != (p.dimension,) or not 0.0 < np.linalg.norm(v0) < np.inf:
+            raise ValueError(f"gad v0 must be a nonzero finite vector of shape {(p.dimension,)}, "
+                             f"got {v0.tolist()}")
+
+    def call(k, x0):  # without a v0 each start draws its own direction
+        rng = np.random.default_rng(cfg.seed + 1000 + k)
+        v = v0 if v0 is not None else rng.standard_normal(p.dimension)
+        return gad_mod.run(p, x0, v / np.linalg.norm(v), **settings)
+
+    return call, settings.get("on_sphere", False)
+
+
 def run_experiment(cfg: ExperimentConfig, out_dir) -> dict:
     """Execute the configured runs and write records plus a JSON summary.
 
@@ -235,10 +259,10 @@ def run_experiment(cfg: ExperimentConfig, out_dir) -> dict:
     ``<label>_summary.json``, whose run entries hold the record's
     ``summary()``; for the cluster problem, initial and terminal geometries
     go to XYZ files.  Returns the summary dict; ``summary["all_converged"]``
-    drives the CLI exit code.
+    drives the CLI exit code.  A bad setting or start raises before
+    ``out_dir`` is created.
     """
     p = make_builtin(cfg.problem, cfg.problem_params)
-    # the reference and gad's v0 are checked before any run or any output
     reference, shape = cfg.reference, (p.dimension,)
     if isinstance(reference, str) and reference != "auto":
         raise ValueError(f'reference must be "auto", null or a point of shape {shape}, '
@@ -247,36 +271,18 @@ def run_experiment(cfg: ExperimentConfig, out_dir) -> dict:
         reference = np.asarray(reference, dtype=float)
         if reference.shape != shape:
             raise DimensionError(f"reference of shape {reference.shape} for points of shape {shape}")
-    g = dict(cfg.gad)
-    v0, gamma = g.pop("v0", None), g.pop("gamma", 1.0)
-    if cfg.method == "gad" and v0 is not None:
-        v0 = np.asarray(v0, dtype=float)
-        if v0.shape != shape or not 0.0 < np.linalg.norm(v0) < np.inf:
-            raise ValueError(f"gad v0 must be a nonzero finite vector of shape {shape}, "
-                             f"got {v0.tolist()}")
-    os.makedirs(out_dir, exist_ok=True)
-    starts, seed = _starts(cfg, p)
+    call, on_sphere = _method_call(cfg, p)
+    starts = _starts(cfg, p)
 
     runs = []
     sequences = []
     for k, x0 in enumerate(starts):
-        if cfg.method == "imf":
-            scfg = _search_config(cfg)
-            on_sphere = scfg.on_sphere
-            record = run_search(p, x0, scfg)
-        elif cfg.method == "gad":
-            on_sphere = g.get("on_sphere", False)
-            rng = np.random.default_rng(seed + 1000 + k)
-            v = v0 if v0 is not None else rng.standard_normal(p.dimension)
-            state = gad_mod.GADState(x=x0, v=v / np.linalg.norm(v), gamma=float(gamma))
-            record = gad_mod.run(p, state, **g)
-        else:
-            on_sphere = False
-            record = newton_stationary(p, x0, **cfg.newton)
+        record = call(k, x0)
         if isinstance(reference, str):  # "auto"
             _auto_reference(p, record, on_sphere=on_sphere)
         elif reference is not None:
             record.measure(reference)
+        os.makedirs(out_dir, exist_ok=True)
         path = os.path.join(out_dir, f"{cfg.label}_run{k}.csv")
         record.to_csv(path)
         runs.append({"run": k, "start": [float(v) for v in x0] if x0.size <= 8 else None,
@@ -295,7 +301,7 @@ def run_experiment(cfg: ExperimentConfig, out_dir) -> dict:
         "label": cfg.label,
         "problem": cfg.problem,
         "method": cfg.method,
-        "seed": seed,
+        "seed": cfg.seed,
         "runs": runs,
         "all_converged": all(r["converged"] for r in runs),
     }

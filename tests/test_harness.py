@@ -72,6 +72,7 @@ def test_config_from_dict_validation():
     ({"search": {"subsolve": {"method": "ncg"}}}, "unknown search.subsolve keys: \\['method'\\]"),
     ({"search": {"alpha": 2.0, "beta": 0.0, "reference": [0, 0]}}, "unknown search keys"),
     ({"method": "gad", "gad": {"dt": 0.01, "steps": 10}}, "unknown gad keys"),
+    ({"method": "gad", "gad": {"dt": 0.01, "reversal": 2.0}}, "unknown gad keys: \\['reversal'\\]"),
 ])
 def test_stale_section_keys_fail_at_load(tmp_path, over, named):
     # a key of an older config fails by name before any output is written
@@ -209,6 +210,22 @@ def test_every_method_writes_one_record_format(tmp_path, capsys, method):
     assert run["errors"][-1] < 1e-8 and len(run["errors"]) == run["iterations"] + 1
     assert capsys.readouterr().out.splitlines()[0] == (
         f"run 0: converged in {run['iterations']} iterations")
+
+
+@pytest.mark.parametrize("over, named", [
+    ({"search": {"alpha": 0.2, "beta": 0.2}}, "alpha \\+ beta = 0.4 must exceed 1"),
+    ({"search": {"subsolve": {"box_radius": -1}}}, "box_radius must be positive"),
+    ({"start": {"circle": {"center": [0.0, 0.0, 0.0], "radius": 0.2}}},
+     "circle starts require a 2-d center"),
+    ({"start": {"perturbed_minimum": {"amplitude": 0.05}}},
+     "three_hole has no built-in geometry to relax"),
+], ids=["coefficients", "box_radius", "circle_center", "perturbed_minimum"])
+def test_a_bad_setting_or_start_writes_nothing(tmp_path, over, named):
+    # the settings are checked and the starts built before the output
+    # directory is created
+    with pytest.raises(ValueError, match=named):
+        run_experiment(config_from_dict(_tiny_config(**over)), tmp_path / "out")
+    assert not (tmp_path / "out").exists()
 
 
 def test_gad_v0_of_zero_norm_is_refused_before_any_output(tmp_path):

@@ -142,6 +142,17 @@ def test_sphere_search_protocol(sphere_quad):
             assert abs(np.linalg.norm(x) - 1.0) < 1e-12
 
 
+def test_a_start_the_first_projector_accepts_is_accepted_throughout(sphere_quad):
+    # one rule says what is on the sphere: a start 5e-9 off it passes the
+    # first projector, so the objectives built on it accept it too and the
+    # run proceeds; 1e-6 off, the first projector refuses it before any row
+    x0 = np.array([math.cos(0.1), math.sin(0.1), 0.0])
+    rec = sk.run(sphere_quad, (1.0 + 5e-9) * x0, table5_config("ray"))
+    assert (rec.status, rec.iterations, rec.terminal_index) == ("converged", 2, 1)
+    with pytest.raises(OffManifoldError, match="off the unit sphere"):
+        sk.run(sphere_quad, (1.0 + 1e-6) * x0, table5_config("ray"))
+
+
 def test_retraction_never_leaves_sphere():
     rng = np.random.default_rng(5)
     x = np.array([1.0, 0.0, 0.0])

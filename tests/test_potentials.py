@@ -163,12 +163,11 @@ def test_from_quadratic():
 
 
 def test_from_quadratic_records_the_index_by_the_library_rule():
-    # a singular matrix whose zero eigenvalue comes out at roundoff below
-    # zero: count_negative's threshold counts it as zero, so the origin is
-    # recorded with the index that stationary_index gives it, 2, not 3
-    Q, _ = np.linalg.qr(np.random.default_rng(1).standard_normal((5, 5)))
-    H = Q @ np.diag([-0.85, -0.14, 0.0, 0.13, 0.75]) @ Q.T
-    H = 0.5 * (H + H.T)
+    # a matrix with an eigenvalue at roundoff below zero: count_negative's
+    # threshold counts it as zero, so the origin is recorded with the index
+    # that stationary_index gives it, 2, not 3; the matrix is diagonal so
+    # that no BLAS kernel's rounding moves that eigenvalue across zero
+    H = np.diag([-0.85, -0.14, -1e-18, 0.13, 0.75])
     assert int(np.sum(np.linalg.eigvalsh(H) < 0.0)) == 3
     p = sk.from_quadratic(H)
     assert p.stationary_points[0][1] == sk.stationary_index(p, np.zeros(5)) == 2

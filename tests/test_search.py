@@ -308,7 +308,7 @@ def _assembled(H):
                          np.zeros(H.shape[0]))
 
 
-def test_anchor_hessian_solver_factors_the_reversed_anchor_hessian():
+def test_hessian_flip_factors_the_reversed_anchor_hessian():
     # K = H - 2 lambda_1 v v^T: positive definite at an index-1 anchor, where
     # it overwrites H; with two negative eigenvalues it is not, and the step
     # keeps the Jacobi preconditioner
@@ -322,7 +322,7 @@ def test_anchor_hessian_solver_factors_the_reversed_anchor_hessian():
     assert h.factor is None
 
 
-def test_corrected_solver_refuses_an_indefinite_anchor_hessian():
+def test_hessian_inverse_refuses_an_indefinite_anchor_hessian():
     # K~ = diag(1, 2, 3) factored from H = diag(-1, 2, 3) with u = e1 and
     # c = 2 * -1; corrected with the true mode v = e1 it is K~ again, but a
     # wrong mode v = e2 makes K = H + 2 e2 e2^T = diag(-1, 4, 3) indefinite,
@@ -335,7 +335,7 @@ def test_corrected_solver_refuses_an_indefinite_anchor_hessian():
     assert h.inverse(e2, 2.0 * -1.0) is None
 
 
-def test_corrected_solver_with_a_zero_weight_is_the_rank1_correction():
+def test_hessian_inverse_with_a_zero_weight_is_the_rank1_correction():
     # c = 0 (the reference eigenvalue was positive): K~ = H, and the rank-2
     # form with d = [0, -weight] is the rank-1 correction by v alone
     rng = np.random.default_rng(8)
@@ -350,9 +350,9 @@ def test_corrected_solver_with_a_zero_weight_is_the_rank1_correction():
     assert np.linalg.norm(z - ref) <= 1e-13 * np.linalg.norm(ref)
 
 
-def test_corrected_solver_is_the_anchor_hessian_inverse_on_the_island(monkeypatch, morse,
-                                                                      morse_saddle,
-                                                                      bench_workloads):
+def test_hessian_inverse_is_the_anchor_hessian_inverse_on_the_island(monkeypatch, morse,
+                                                                     morse_saddle,
+                                                                     bench_workloads):
     # a fixture start's first step: the factor of K~ (reference mode from
     # the loose solve), corrected to the current mode, solves with
     # K = H - (alpha + beta) lambda_1 v v^T
